@@ -423,6 +423,8 @@ def _run_checks(seed: int, trials: int, negative_control: bool) -> list[tuple[st
 
 
 def cmd_check(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     results = _run_checks(args.seed, args.trials, args.negative_control)
     failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:

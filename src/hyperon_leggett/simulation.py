@@ -43,6 +43,8 @@ from .quantum import PAULI, Direction, expectation, tensor
 GENERATOR = "philox4x64"
 
 _EVENTS_FORMAT = "hyperon-leggett-events 1"
+_EVENT_ROW_FORMAT = " ".join(["%.17g"] * 6) + "\n"
+_SAVE_BLOCK_ROWS = 4096
 
 _EXPECTED_C = {
     "singlet": -np.eye(3),
@@ -176,7 +178,8 @@ def sample_pair_decay(channel: ProductionChannel, n_events: int, seed: int,
     alpha_ab = channel.mode_a.alpha * channel.mode_b.alpha
     rng = _generator(seed)
     n_a = _random_unit(n_events, rng)
-    n_b = _sample_about_axes(n_a @ c_matrix, alpha_ab, rng)
+    # C is +-diagonal (checked above), so n_a C needs no matrix product.
+    n_b = _sample_about_axes(n_a * np.diag(c_matrix), alpha_ab, rng)
     return EventSample(n_a=n_a, n_b=n_b, seed=seed, mother=channel.mother,
                        hyperon_a=channel.mode_a.hyperon, hyperon_b=channel.mode_b.hyperon,
                        alpha_a=channel.mode_a.alpha, alpha_b=channel.mode_b.alpha,
@@ -240,7 +243,9 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings,
     along z, mirroring the channel correlation convention.  Errors propagate
     by the delta method through the absolute values; when any pair sum sits
     within two standard errors of zero (where the delta method degenerates)
-    a seeded bootstrap over events is used instead.
+    a seeded bootstrap over events is used instead.  Each of its replicas
+    draws n event indices with replacement, counts how often each event was
+    drawn, and takes the pair-sum means as ``counts @ per_event / n``.
     """
     if sample.n_events < 100:
         raise ValueError(f"sample too small: {sample.n_events} events, need at least 100")
@@ -274,8 +279,8 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings,
         rng = _generator(sample.seed ^ 0x626F6F74)
         replicas = np.empty(n_bootstrap)
         for r in range(n_bootstrap):
-            idx = rng.integers(0, n, n)
-            replicas[r] = np.sum(np.abs(per_event[idx].mean(axis=0))) / 3.0 + bound_term
+            counts = np.bincount(rng.integers(0, n, n), minlength=n)
+            replicas[r] = np.sum(np.abs(counts @ per_event / n)) / 3.0 + bound_term
         std_error = float(replicas.std(ddof=1))
         method = "bootstrap"
 
@@ -301,8 +306,14 @@ def save_events(path: str | Path, sample: EventSample) -> None:
         f"n_events {sample.n_events}",
         "columns nax nay naz nbx nby nbz",
     ])
-    data = np.hstack([sample.n_a, sample.n_b])
-    np.savetxt(path, data, fmt="%.17g", header=header, comments="# ")
+    # The same bytes as np.savetxt(fmt="%.17g", comments="# "), formatted a
+    # block of rows at a time so no whole-file string or list is ever held.
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# " + header.replace("\n", "\n# ") + "\n")
+        for start in range(0, sample.n_events, _SAVE_BLOCK_ROWS):
+            block = np.hstack([sample.n_a[start:start + _SAVE_BLOCK_ROWS],
+                               sample.n_b[start:start + _SAVE_BLOCK_ROWS]])
+            fh.write(_EVENT_ROW_FORMAT * len(block) % tuple(block.ravel().tolist()))
 
 
 def load_events(path: str | Path) -> EventSample:

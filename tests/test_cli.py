@@ -218,6 +218,12 @@ class TestCheck:
         lines = [l for l in out.splitlines() if l.startswith("PASS")]
         assert len(lines) >= 8
 
+    def test_zero_trials_rejected(self, capsys):
+        code, out, err = run(["check", "--trials", "0"], capsys)
+        assert code == 2
+        assert "error: --trials must be at least 1" in err
+        assert "checks passed" not in out
+
     def test_negative_control_fails_and_names_identity(self, capsys):
         code, out, _ = run(["check", "--negative-control"], capsys)
         assert code == 1

@@ -11,7 +11,9 @@ from hyperon_leggett import (DecayMode, ProductionChannel,
                              sample_pair_decay, sample_single_decay, save_events)
 from hyperon_leggett.catalog import channel_correlation
 from hyperon_leggett.geometry import TripleSettings
-from hyperon_leggett.simulation import (EventSample, estimate_correlation_hemisphere,
+from hyperon_leggett.simulation import (EventSample, _generator, _random_unit,
+                                        _sample_about_axes,
+                                        estimate_correlation_hemisphere,
                                         sample_single_decays,
                                         spin_correlation_matrix)
 
@@ -124,6 +126,16 @@ class TestPairDecay:
         with pytest.raises(ValueError):
             sample_pair_decay(SIGMA_LIKE, 0, seed=1)
 
+    @pytest.mark.parametrize("mother", ["eta_c", "chi_c0"])
+    def test_diagonal_product_matches_matrix_product(self, mother):
+        channel = _channel(-0.98, 0.98, mother)
+        sample = sample_pair_decay(channel, 20_000, seed=27)
+        rng = _generator(27)
+        n_a = _random_unit(20_000, rng)
+        n_b = _sample_about_axes(n_a @ spin_correlation_matrix(channel), -0.98 * 0.98, rng)
+        assert np.array_equal(sample.n_a, n_a)
+        assert np.array_equal(sample.n_b, n_b)
+
 
 class TestEstimateCorrelation:
     def test_small_sample_rejected(self):
@@ -201,6 +213,20 @@ class TestEstimateLeggett:
         assert est.lhs_hat < 0.2
         assert est.std_error > 0.0
 
+    def test_bootstrap_matches_gathered_replicas(self):
+        sample = sample_pair_decay(_channel(alpha_a=0.9, alpha_b=0.0), 5_000, seed=43)
+        settings = build_settings(1.0)
+        est = estimate_leggett_lhs(sample, settings)
+        # Reference: replicas from the gathered event rows, same Philox key.
+        per_event = np.column_stack([
+            9.0 * (sample.n_a @ a.as_array()) * (sample.n_b @ (b.as_array() + bp.as_array()))
+            for a, b, bp in zip(settings.a, settings.b, settings.b_prime)])
+        rng = _generator(43 ^ 0x626F6F74)
+        replicas = [np.sum(np.abs(per_event[rng.integers(0, 5_000, 5_000)].mean(axis=0))) / 3.0
+                    for _ in range(200)]
+        assert est.method == "bootstrap"
+        assert est.std_error == pytest.approx(float(np.std(replicas, ddof=1)), rel=1e-12)
+
     def test_bootstrap_is_reproducible(self):
         sample = sample_pair_decay(_channel(alpha_a=0.9, alpha_b=0.0), 5_000, seed=43)
         settings = build_settings(1.0)
@@ -236,6 +262,20 @@ class TestEventFile:
         save_events(p1, sample)
         save_events(p2, sample)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_match_savetxt(self, tmp_path):
+        # More rows than one write block, and not a multiple of it.
+        sample = sample_pair_decay(SIGMA_LIKE, 2 * 4096 + 3, seed=54, catalog_sha256="abc123")
+        path, reference = tmp_path / "events.txt", tmp_path / "reference.txt"
+        save_events(path, sample)
+        header = "\n".join([
+            "hyperon-leggett-events 1", "generator philox4x64", "seed 54",
+            "mother eta_c", "hyperon_a A", "hyperon_b B", "alpha_a -0.98",
+            "alpha_b 0.98", "spin_state singlet", "catalog_sha256 abc123",
+            "n_events 8195", "columns nax nay naz nbx nby nbz"])
+        np.savetxt(reference, np.hstack([sample.n_a, sample.n_b]), fmt="%.17g",
+                   header=header, comments="# ")
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
