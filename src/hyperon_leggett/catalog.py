@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .correlations import correlation_singlet, correlation_triplet_m0, parity_flip_z
+from .correlations import pair_correlation
 from .povm import MeasurementParams
 from .quantum import Direction, TwoQubitState, singlet_state, triplet_m0_state
 
@@ -149,10 +149,8 @@ def channel_correlation(channel: ProductionChannel, a: Direction, b: Direction) 
 
     For the triplet channel the A-side direction is pre-inverted along z, which
     maps the triplet correlation onto the singlet analysis (up to the overall
-    sign convention documented in correlations.correlation_triplet_m0).
+    sign convention documented in correlations.pair_correlation).
     """
     pa = MeasurementParams.unsharp(channel.mode_a.alpha)
     pb = MeasurementParams.unsharp(channel.mode_b.alpha)
-    if channel.spin_state == "singlet":
-        return correlation_singlet(pa, a, pb, b)
-    return correlation_triplet_m0(pa, parity_flip_z(a), pb, b)
+    return float(pair_correlation(channel.spin_state, pa, a.as_array(), pb, b.as_array()))

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -28,14 +29,15 @@ from .catalog import (CATALOG_ENV_VAR, MOTHERS, DecayMode, ProductionChannel,
                       make_pair_channel)
 from .correlations import (correlation_singlet, correlation_triplet_m0,
                            correlation_via_operators, joint_prob_matrix,
-                           joint_prob_singlet, parity_flip_z)
-from .geometry import (build_settings, load_settings, validate_settings)
+                           joint_prob_singlet, pair_correlation)
+from .geometry import build_settings, load_settings, settings_arrays, validate_settings
 from .inequalities import (InequalityReport, leggett_max_lhs, leggett_sum_curve,
-                           leggett_sum_lhs, optimal_phi, symmetric_alpha_threshold)
+                           leggett_sum_lhs, leggett_sum_value, leggett_violation_condition,
+                           optimal_phi, symmetric_alpha_threshold)
 from .povm import MeasurementParams
 from .quantum import Direction, singlet_state, triplet_m0_state
-from .simulation import (estimate_leggett_lhs, sample_pair_decay,
-                         save_events, spin_correlation_matrix)
+from .simulation import (estimate_leggett_lhs, sample_pair_decay, save_events,
+                         spin_correlation_matrix, write_row_blocks)
 
 TOOL = "hyperon-leggett"
 
@@ -66,13 +68,12 @@ class ScanResult:
 
 
 def _lexicographically_sorted(axis_columns: Sequence[np.ndarray]) -> bool:
-    rows = np.column_stack(axis_columns)
-    for prev, cur in zip(rows[:-1], rows[1:]):
-        for p, c in zip(prev, cur):
-            if c > p:
-                break
-            if c < p:
-                return False
+    undecided = np.ones(len(axis_columns[0]), dtype=bool)[1:]  # row pairs tied so far
+    for col in axis_columns:
+        prev, cur = col[:-1], col[1:]
+        if np.any(undecided & (cur < prev)):
+            return False
+        undecided &= ~(cur > prev)
     return True
 
 
@@ -83,6 +84,12 @@ class ResolvedChannel:
     pb: MeasurementParams
     catalog_path: str
     catalog_sha: str
+
+    def provenance(self) -> dict[str, Any]:
+        return {"catalog": self.catalog_path, "catalog_sha256": self.catalog_sha,
+                "channel": self.channel.label(), "spin_state": self.channel.spin_state,
+                "eta_a": self.pa.eta, "alpha_a": self.pa.alpha,
+                "eta_b": self.pb.eta, "alpha_b": self.pb.alpha}
 
 
 def _resolve_channel(args: argparse.Namespace) -> ResolvedChannel:
@@ -111,21 +118,21 @@ def _resolve_channel(args: argparse.Namespace) -> ResolvedChannel:
                            catalog_path=catalog_str, catalog_sha=sha)
 
 
-def _pair_correlation(spin_state: str, pa: MeasurementParams, pb: MeasurementParams,
-                      a: Direction, b: Direction) -> float:
-    if spin_state == "singlet":
-        return correlation_singlet(pa, a, pb, b)
-    return correlation_triplet_m0(pa, parity_flip_z(a), pb, b)
-
-
 def _leggett_report_at(settings, spin_state: str, pa: MeasurementParams,
                        pb: MeasurementParams) -> InequalityReport:
-    e_pairs = []
-    for i in range(3):
-        e = _pair_correlation(spin_state, pa, pb, settings.a[i], settings.b[i])
-        ep = _pair_correlation(spin_state, pa, pb, settings.a[i], settings.b_prime[i])
-        e_pairs.append((e, ep))
-    return leggett_sum_lhs(settings, e_pairs, alpha_b=pb.alpha)
+    a, b, b_prime = np.array([[d.as_array() for d in dirs]
+                              for dirs in (settings.a, settings.b, settings.b_prime)])
+    e = pair_correlation(spin_state, pa, a, pb, b).tolist()
+    ep = pair_correlation(spin_state, pa, a, pb, b_prime).tolist()
+    return leggett_sum_lhs(settings, list(zip(e, ep)), alpha_b=pb.alpha)
+
+
+def _lhs_over_phi(phis: np.ndarray, spin_state: str, pa: MeasurementParams,
+                  pb: MeasurementParams) -> np.ndarray:
+    """Sum-form left-hand side of the built-in construction at every phi, in one pass."""
+    a, b, b_prime = settings_arrays(phis)
+    return leggett_sum_value(pair_correlation(spin_state, pa, a, pb, b)
+                             + pair_correlation(spin_state, pa, a, pb, b_prime), pb.alpha, phis)
 
 
 def _resolve_settings(args: argparse.Namespace, alpha_a: float):
@@ -155,30 +162,19 @@ def _metadata(args: argparse.Namespace, argv: Sequence[str],
 
 
 def _emit_json(payload: Mapping[str, Any], out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _emit_csv(result: ScanResult, header_order: Sequence[str], out: str | None) -> None:
-    lines = [f"# {key} {value}" for key, value in result.metadata.items()]
-    lines.append(",".join(header_order))
     cols = [result.columns[name] for name in header_order]
-    for row in zip(*cols):
-        cells = []
-        for value in row:
-            if isinstance(value, (bool, np.bool_)):
-                cells.append(str(int(value)))
-            else:
-                cells.append(repr(float(value)))  # shortest exact round trip
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    # %r is the shortest exact round trip of a float; flags print as 0/1.
+    row_format = ",".join("%d" if col.dtype == bool else "%r" for col in cols) + "\n"
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        for key, value in result.metadata.items():
+            fh.write(f"# {key} {value}\n")
+        fh.write(",".join(header_order) + "\n")
+        write_row_blocks(fh, row_format, cols)
 
 
 def cmd_predict(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -187,19 +183,15 @@ def cmd_predict(args: argparse.Namespace, argv: Sequence[str]) -> int:
     report = _leggett_report_at(settings, resolved.channel.spin_state,
                                 resolved.pa, resolved.pb)
     phi_star = optimal_phi(resolved.pa.alpha)
+    max_lhs = leggett_max_lhs(resolved.pa.alpha, resolved.pb.alpha)
     payload = _metadata(args, argv, {
-        "catalog": resolved.catalog_path,
-        "catalog_sha256": resolved.catalog_sha,
-        "channel": resolved.channel.label(),
-        "spin_state": resolved.channel.spin_state,
-        "eta_a": resolved.pa.eta, "alpha_a": resolved.pa.alpha,
-        "eta_b": resolved.pb.eta, "alpha_b": resolved.pb.alpha,
+        **resolved.provenance(),
         "phi_rad": settings.phi, "phi_deg": math.degrees(settings.phi),
         "report": report.to_dict(),
         "optimal_phi_rad": phi_star,
         "optimal_phi_deg": math.degrees(phi_star),
-        "max_lhs": leggett_max_lhs(resolved.pa.alpha, resolved.pb.alpha),
-        "max_violated": leggett_max_lhs(resolved.pa.alpha, resolved.pb.alpha) > 2.0,
+        "max_lhs": max_lhs,
+        "max_violated": max_lhs > 2.0,
         "symmetric_alpha_threshold": symmetric_alpha_threshold(),
     })
     _emit_json(payload, args.out)
@@ -214,11 +206,7 @@ def cmd_scan_phi(args: argparse.Namespace, argv: Sequence[str]) -> int:
     resolved = _resolve_channel(args)
     phis = np.linspace(math.radians(args.phi_min_deg),
                        math.radians(args.phi_max_deg), args.steps)
-    lhs = np.empty(args.steps)
-    for i, phi in enumerate(phis):
-        settings = build_settings(float(phi))
-        lhs[i] = _leggett_report_at(settings, resolved.channel.spin_state,
-                                    resolved.pa, resolved.pb).lhs
+    lhs = _lhs_over_phi(phis, resolved.channel.spin_state, resolved.pa, resolved.pb)
     result = ScanResult(
         axes=("phi_rad",),
         columns={
@@ -230,14 +218,7 @@ def cmd_scan_phi(args: argparse.Namespace, argv: Sequence[str]) -> int:
             "violated": lhs > 2.0,
         },
         bound=2.0,
-        metadata=_metadata(args, argv, {
-            "catalog": resolved.catalog_path,
-            "catalog_sha256": resolved.catalog_sha,
-            "channel": resolved.channel.label(),
-            "spin_state": resolved.channel.spin_state,
-            "eta_a": resolved.pa.eta, "alpha_a": resolved.pa.alpha,
-            "eta_b": resolved.pb.eta, "alpha_b": resolved.pb.alpha,
-        }))
+        metadata=_metadata(args, argv, resolved.provenance()))
     _emit_csv(result, ("phi_deg", "phi_rad", "lhs", "bound", "margin", "violated"),
               args.out)
     return 0
@@ -251,12 +232,11 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
     grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     alpha_a = np.repeat(grid, args.steps)
     alpha_b = np.tile(grid, args.steps)
-    max_lhs = 2.0 * alpha_b * np.hypot(alpha_a, 1.0 / 3.0)
-    violated = (alpha_a ** 2 + 1.0 / 9.0) * alpha_b ** 2 > 1.0
     result = ScanResult(
         axes=("alpha_a", "alpha_b"),
         columns={"alpha_a": alpha_a, "alpha_b": alpha_b,
-                 "lhs": max_lhs, "violated": violated},
+                 "lhs": leggett_max_lhs(alpha_a, alpha_b),
+                 "violated": leggett_violation_condition(alpha_a, alpha_b)},
         bound=2.0,
         metadata=_metadata(args, argv, {
             "bound": 2.0,
@@ -289,12 +269,10 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
     significance = (estimate.lhs_hat - 2.0) / estimate.std_error if estimate.std_error else 0.0
     violation = significance >= args.sigma_threshold
+    # eta overrides are refused above, so the summary carries no eta keys.
+    unbiased = {k: v for k, v in resolved.provenance().items() if not k.startswith("eta_")}
     payload = _metadata(args, argv, {
-        "catalog": resolved.catalog_path,
-        "catalog_sha256": resolved.catalog_sha,
-        "channel": resolved.channel.label(),
-        "spin_state": resolved.channel.spin_state,
-        "alpha_a": resolved.pa.alpha, "alpha_b": resolved.pb.alpha,
+        **unbiased,
         "generator": sample.generator,
         "seed": args.seed,
         "n_events": args.events,
@@ -392,32 +370,20 @@ def _run_checks(seed: int, trials: int, negative_control: bool) -> list[tuple[st
     record("symmetric threshold: defining polynomial residual",
            abs(threshold ** 4 + threshold ** 2 / 9.0 - 1.0), 1e-10)
 
-    # Geometry identities over a phi grid.
-    worst_geo = 0.0
-    worst_len = 0.0
-    for phi in np.linspace(0.01, math.pi - 0.01, 100):
-        settings = build_settings(float(phi))
-        if validate_settings(settings):
-            worst_geo = math.inf
-        for i in range(3):
-            d = (settings.b[i].x - settings.b_prime[i].x,
-                 settings.b[i].y - settings.b_prime[i].y,
-                 settings.b[i].z - settings.b_prime[i].z)
-            worst_len = max(worst_len, abs(math.sqrt(sum(x * x for x in d))
-                                           - 2.0 * math.sin(0.5 * phi)))
+    # Geometry identities over a phi grid, then the pair-state curve against
+    # the settings path that scan-phi evaluates.
+    phis = np.linspace(0.01, math.pi - 0.01, 100)
+    invalid = [phi for phi in phis if validate_settings(build_settings(float(phi)))]
     results.append(("geometry: construction passes validation on phi grid",
-                    worst_geo == 0.0, "100 points"))
-    record("geometry: |b - b'| = 2 sin(phi/2)", worst_len, 1e-12)
-
-    # Pair-state curve against the settings path.
-    pa = MeasurementParams.unsharp(0.98)
-    pb = MeasurementParams.unsharp(0.98)
-    worst_curve = 0.0
-    for phi in np.linspace(0.01, math.pi - 0.01, 100):
-        settings = build_settings(float(phi))
-        report = _leggett_report_at(settings, "singlet", pa, pb)
-        worst_curve = max(worst_curve, abs(report.lhs - leggett_sum_curve(phi, 0.98, 0.98)))
-    record("pair-state curve vs settings path", worst_curve, 1e-12)
+                    not invalid, "100 points"))
+    _, b, b_prime = settings_arrays(phis)
+    length = np.linalg.norm(b - b_prime, axis=-1)
+    record("geometry: |b - b'| = 2 sin(phi/2)",
+           float(np.max(np.abs(length - 2.0 * np.sin(0.5 * phis)[:, None]))), 1e-12)
+    unsharp = MeasurementParams.unsharp(0.98)
+    curve = _lhs_over_phi(phis, "singlet", unsharp, unsharp)
+    record("pair-state curve vs settings path",
+           float(np.max(np.abs(curve - leggett_sum_curve(phis, 0.98, 0.98)))), 1e-12)
 
     return results
 

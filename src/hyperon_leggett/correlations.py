@@ -85,29 +85,35 @@ def joint_prob_singlet(pa: MeasurementParams, a: Direction,
                           p_mp=entry(-1, 1), p_mm=entry(-1, -1))
 
 
+def pair_correlation(spin_state: str, pa: MeasurementParams, a, pb: MeasurementParams, b):
+    """Closed-form pair-state correlation at (..., 3) direction arrays a, b.
+
+    singlet: eta_a*eta_b - alpha_a*alpha_b*(a.b).  triplet_m0 (unbiased only):
+    alpha_a*alpha_b*(a_x b_x + a_y b_y - a_z b_z) at the A direction inverted
+    along z, i.e. +alpha_a*alpha_b*(a.b): the same magnitude, so every bound is
+    identical; the relative sign is exposed as is.  The dot product is written
+    out because a matrix product differs from the scalar one in the last bit.
+    """
+    a_dot_b = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    if spin_state == "singlet":
+        return pa.eta * pb.eta - pa.alpha * pb.alpha * a_dot_b
+    if pa.eta != 0.0 or pb.eta != 0.0:
+        raise ValueError("triplet correlation is defined for unbiased measurements only")
+    return pa.alpha * pb.alpha * a_dot_b
+
+
 def correlation_singlet(pa: MeasurementParams, a: Direction,
                         pb: MeasurementParams, b: Direction) -> float:
     """Closed-form singlet correlation eta_a*eta_b - alpha_a*alpha_b*(a.b)."""
-    return pa.eta * pb.eta - pa.alpha * pb.alpha * a.dot(b)
+    return float(pair_correlation("singlet", pa, a.as_array(), pb, b.as_array()))
 
 
 def correlation_triplet_m0(pa: MeasurementParams, a: Direction,
                            pb: MeasurementParams, b: Direction) -> float:
-    """Closed-form zero-projection-triplet correlation for unbiased measurements.
-
-    Equals alpha_a*alpha_b*(a_x b_x + a_y b_y - a_z b_z), i.e. the a.b form
-    with the A-side z component inverted.  Only the unbiased case is defined:
-    the decay measurement that produces this state carries no bias.
-
-    Sign convention note: with the A direction pre-inverted along z this gives
-    +alpha_a*alpha_b*(a.b), while the singlet form above gives
-    -alpha_a*alpha_b*(a.b).  The two therefore agree in magnitude, and every
-    bound evaluation (which takes absolute values of symmetric combinations)
-    is identical between the two paths; the relative sign is exposed as is.
-    """
-    if pa.eta != 0.0 or pb.eta != 0.0:
-        raise ValueError("triplet correlation is defined for unbiased measurements only")
-    return pa.alpha * pb.alpha * (a.x * b.x + a.y * b.y - a.z * b.z)
+    """Closed-form zero-projection-triplet correlation for unbiased measurements,
+    alpha_a*alpha_b*(a_x b_x + a_y b_y - a_z b_z); see pair_correlation."""
+    return float(pair_correlation("triplet_m0", pa, parity_flip_z(a).as_array(),
+                                  pb, b.as_array()))
 
 
 def parity_flip_z(d: Direction) -> Direction:

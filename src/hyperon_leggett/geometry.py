@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .quantum import Direction, X_AXIS, Y_AXIS, Z_AXIS
 
 GEOM_TOL = 1e-10
@@ -80,13 +82,28 @@ def build_settings(phi: float,
             raise ValueError(
                 f"axis a_{i+1} must be orthogonal to e_{i+1}, got a.e = {axes[i].dot(frame[i]):.3e}")
 
-    c = math.cos(0.5 * phi)
-    s = math.sin(0.5 * phi)
-    b = tuple(Direction.normalized(c * a.x + s * e.x, c * a.y + s * e.y, c * a.z + s * e.z)
-              for a, e in zip(axes, frame))
-    b_prime = tuple(Direction.normalized(c * a.x - s * e.x, c * a.y - s * e.y, c * a.z - s * e.z)
-                    for a, e in zip(axes, frame))
-    return TripleSettings(phi=phi, a=axes, b=b, b_prime=b_prime)
+    _, b, b_prime = settings_arrays(phi, frame, axes)
+    return TripleSettings(phi=phi, a=axes,
+                          b=tuple(Direction(*row) for row in b.tolist()),
+                          b_prime=tuple(Direction(*row) for row in b_prime.tolist()))
+
+
+def settings_arrays(phi, frame: tuple[Direction, Direction, Direction] = DEFAULT_FRAME,
+                    axes: tuple[Direction, Direction, Direction] = DEFAULT_AXES,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, b') of the construction for a phi array of any shape, each of shape
+    ``phi.shape + (3, 3)`` with row i the i-th direction (``a`` is a read-only
+    view).  Nothing is checked here; build_settings checks its inputs."""
+    e, a = (np.array([d.as_array() for d in dirs]) for dirs in (frame, axes))
+    half = 0.5 * np.asarray(phi, dtype=float)[..., None, None]
+    c, s = np.cos(half), np.sin(half)
+    b, b_prime = _unit(c * a + s * e), _unit(c * a - s * e)
+    return np.broadcast_to(a, b.shape), b, b_prime
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return v / np.sqrt(x * x + y * y + z * z)[..., None]
 
 
 def _angle_between(u: Direction, v: Direction) -> float:

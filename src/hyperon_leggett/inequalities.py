@@ -137,13 +137,21 @@ def leggett_sum_lhs(settings: TripleSettings, e_pairs: EPairs,
     if violations:
         raise ValueError("invalid triple settings: " + "; ".join(violations))
     pairs = _check_e_pairs(e_pairs)
-    lhs = (sum(abs(e + ep) for e, ep in pairs) / 3.0
-           + (2.0 * abs(alpha_b) / 3.0) * abs(math.sin(0.5 * settings.phi)))
+    lhs = leggett_sum_value([e + ep for e, ep in pairs], alpha_b, settings.phi)
     return InequalityReport(
         name="leggett_sum", lhs=lhs, bound=2.0,
         settings_used=f"triple settings, phi={settings.phi!r} rad",
         inputs={"e_pairs": [list(p) for p in pairs], "alpha_b": alpha_b,
                 "phi": settings.phi})
+
+
+def leggett_sum_value(pair_sums, alpha_b: float, phi):
+    """(|S_1| + |S_2| + |S_3|)/3 + (2|alpha_b|/3)|sin(phi/2)| over pair sums
+    S_i = E(a_i,b_i) + E(a_i,b_i') of shape (..., 3), phi broadcasting against (...)."""
+    s = np.abs(pair_sums)
+    value = ((s[..., 0] + s[..., 1]) + s[..., 2]) / 3.0 + (
+        (2.0 * abs(alpha_b) / 3.0) * np.abs(np.sin(0.5 * np.asarray(phi))))
+    return value if value.ndim else float(value)
 
 
 def leggett_diff_lhs(settings: TripleSettings, e_pairs: EPairs,
@@ -170,10 +178,10 @@ def leggett_diff_lhs(settings: TripleSettings, e_pairs: EPairs,
                 "phi": settings.phi})
 
 
-def leggett_violation_condition(alpha_a: float, alpha_b: float) -> bool:
+def leggett_violation_condition(alpha_a, alpha_b):
     """True iff the pair-state prediction can break the sum-form bound:
-    (alpha_a^2 + 1/9) * alpha_b^2 > 1."""
-    return (alpha_a * alpha_a + 1.0 / 9.0) * alpha_b * alpha_b > 1.0
+    (alpha_a^2 + 1/9) * alpha_b^2 > 1.  Arrays give a mask."""
+    return (alpha_a * alpha_a + 1.0 / 9.0) * (alpha_b * alpha_b) > 1.0
 
 
 def symmetric_alpha_threshold() -> float:
@@ -193,10 +201,11 @@ def optimal_phi(alpha_a: float) -> float:
     return 2.0 * math.atan2(1.0 / 3.0, abs(alpha_a))
 
 
-def leggett_max_lhs(alpha_a: float, alpha_b: float) -> float:
+def leggett_max_lhs(alpha_a, alpha_b):
     """Pair-state sum-form left-hand side at the optimal angle:
-    2 |alpha_b| sqrt(alpha_a^2 + 1/9)."""
-    return 2.0 * abs(alpha_b) * math.hypot(alpha_a, 1.0 / 3.0)
+    2 |alpha_b| sqrt(alpha_a^2 + 1/9), elementwise over arrays."""
+    max_lhs = 2.0 * np.abs(alpha_b) * np.hypot(alpha_a, 1.0 / 3.0)
+    return max_lhs if max_lhs.ndim else float(max_lhs)
 
 
 def leggett_sum_curve(phi, alpha_a: float, alpha_b: float):

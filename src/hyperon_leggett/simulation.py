@@ -32,19 +32,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .catalog import ProductionChannel, channel_spin_state
 from .geometry import TripleSettings, validate_settings
 from .correlations import parity_flip_z
+from .inequalities import leggett_sum_value
 from .quantum import PAULI, Direction, expectation, tensor
 
 GENERATOR = "philox4x64"
 
 _EVENTS_FORMAT = "hyperon-leggett-events 1"
 _EVENT_ROW_FORMAT = " ".join(["%.17g"] * 6) + "\n"
-_SAVE_BLOCK_ROWS = 4096
+_WRITE_BLOCK_ROWS = 4096
 
 _EXPECTED_C = {
     "singlet": -np.eye(3),
@@ -76,10 +78,9 @@ def spin_correlation_matrix(channel: ProductionChannel) -> np.ndarray:
 def _sample_cosines(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF draw from the linear density (1 + alpha*c)/2 on [-1, 1]."""
     r = rng.random(n)
-    if abs(alpha) < 1e-12:
-        return 2.0 * r - 1.0
-    c = (np.sqrt((1.0 - alpha) ** 2 + 4.0 * alpha * r) - 1.0) / alpha
-    return np.clip(c, -1.0, 1.0)
+    # (sqrt(D) - 1)/alpha with D = (1-alpha)^2 + 4 alpha r, rationalised so no
+    # digits cancel as alpha -> 0; at alpha = 0 it is exactly 2r - 1.
+    return (4.0 * r - 2.0 + alpha) / (np.sqrt((1.0 - alpha) ** 2 + 4.0 * alpha * r) + 1.0)
 
 
 def _orthonormal_complement(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,10 +117,7 @@ def _random_unit(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_single_decay(u: Direction, alpha: float, seed: int) -> Direction:
     """One daughter direction from a polarized decay, density (1 + alpha u.n)/(4 pi)."""
-    if not -1.0 <= alpha <= 1.0:
-        raise ValueError(f"|alpha| must not exceed 1, got {alpha!r}")
-    vec = _sample_about_axes(u.as_array()[None, :], alpha, _generator(seed))[0]
-    return Direction.normalized(*vec)
+    return Direction.normalized(*sample_single_decays(u, alpha, 1, seed)[0])
 
 
 def sample_single_decays(u: Direction, alpha: float, n_events: int, seed: int) -> np.ndarray:
@@ -267,8 +265,7 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings,
     cov = np.cov(per_event, rowvar=False) / n
     se_means = np.sqrt(np.diag(cov))
 
-    bound_term = (2.0 * abs(alpha_b) / 3.0) * abs(math.sin(0.5 * settings.phi))
-    lhs_hat = float(np.sum(np.abs(means)) / 3.0 + bound_term)
+    lhs_hat = leggett_sum_value(means, alpha_b, settings.phi)
 
     if np.all(np.abs(means) > 2.0 * se_means):
         grad = np.sign(means) / 3.0
@@ -277,10 +274,11 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings,
     else:
         # Bootstrap keyed off the sample seed so reruns match exactly.
         rng = _generator(sample.seed ^ 0x626F6F74)
-        replicas = np.empty(n_bootstrap)
+        replica_means = np.empty((n_bootstrap, 3))
         for r in range(n_bootstrap):
             counts = np.bincount(rng.integers(0, n, n), minlength=n)
-            replicas[r] = np.sum(np.abs(counts @ per_event / n)) / 3.0 + bound_term
+            replica_means[r] = counts @ per_event / n
+        replicas = leggett_sum_value(replica_means, alpha_b, settings.phi)
         std_error = float(replicas.std(ddof=1))
         method = "bootstrap"
 
@@ -306,14 +304,18 @@ def save_events(path: str | Path, sample: EventSample) -> None:
         f"n_events {sample.n_events}",
         "columns nax nay naz nbx nby nbz",
     ])
-    # The same bytes as np.savetxt(fmt="%.17g", comments="# "), formatted a
-    # block of rows at a time so no whole-file string or list is ever held.
+    # The same bytes as np.savetxt(fmt="%.17g", comments="# ").
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + header.replace("\n", "\n# ") + "\n")
-        for start in range(0, sample.n_events, _SAVE_BLOCK_ROWS):
-            block = np.hstack([sample.n_a[start:start + _SAVE_BLOCK_ROWS],
-                               sample.n_b[start:start + _SAVE_BLOCK_ROWS]])
-            fh.write(_EVENT_ROW_FORMAT * len(block) % tuple(block.ravel().tolist()))
+        write_row_blocks(fh, _EVENT_ROW_FORMAT, [sample.n_a, sample.n_b])
+
+
+def write_row_blocks(fh: TextIO, row_format: str, columns: Sequence[np.ndarray]) -> None:
+    """Write the rows of ``columns`` ((N,) or (N, k) arrays, stacked as floats)
+    as ``row_format % row``, one ``%`` per block, never holding the whole text."""
+    for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+        block = np.column_stack([col[start:start + _WRITE_BLOCK_ROWS] for col in columns])
+        fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def load_events(path: str | Path) -> EventSample:

@@ -5,7 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from hyperon_leggett.cli import main
+from hyperon_leggett.cli import ScanResult, main
+from hyperon_leggett.inequalities import leggett_max_lhs, leggett_violation_condition
+from hyperon_leggett.simulation import _WRITE_BLOCK_ROWS
 
 
 def run(args, capsys):
@@ -155,6 +157,45 @@ class TestScanRegion:
     def test_bad_grid_rejected(self, capsys):
         code, _, _ = run(["scan-region", "--alpha-min", "0.5", "--alpha-max", "0.2"], capsys)
         assert code == 2
+
+    def test_csv_bytes_across_block_boundary(self, capsys):
+        steps = 65
+        assert _WRITE_BLOCK_ROWS < steps * steps and (steps * steps) % _WRITE_BLOCK_ROWS
+        code, out, _ = run(["scan-region", "--steps", str(steps)], capsys)
+        assert code == 0
+        data_rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        grid = np.linspace(0.0, 1.0, steps)
+        alpha_a, alpha_b = np.repeat(grid, steps), np.tile(grid, steps)
+        lhs = leggett_max_lhs(alpha_a, alpha_b)
+        violated = leggett_violation_condition(alpha_a, alpha_b)
+        expected = [",".join([repr(float(a)), repr(float(b)), repr(float(v)), str(int(f))])
+                    for a, b, v, f in zip(alpha_a, alpha_b, lhs, violated)]
+        assert data_rows == expected
+
+
+class TestScanResult:
+    @staticmethod
+    def make(first, second, lhs=None, violated=None):
+        columns = {"x": np.array(first, dtype=float), "y": np.array(second, dtype=float)}
+        if lhs is not None:
+            columns["lhs"] = np.array(lhs, dtype=float)
+            columns["violated"] = np.array(violated, dtype=bool)
+        return ScanResult(axes=("x", "y"), columns=columns, bound=2.0, metadata={})
+
+    def test_descending_first_axis_rejected(self):
+        with pytest.raises(ValueError, match="monotone"):
+            self.make([0.0, 1.0, 0.5], [0.0, 0.0, 0.0])
+
+    def test_second_axis_descending_within_tie_rejected(self):
+        with pytest.raises(ValueError, match="monotone"):
+            self.make([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.5])
+
+    def test_repeated_rows_and_resets_after_first_axis_step_accepted(self):
+        self.make([0.0, 0.0, 0.0, 1.0, 1.0], [0.5, 0.5, 1.0, 0.0, 0.0])
+
+    def test_violated_flag_without_lhs_above_bound_rejected(self):
+        with pytest.raises(ValueError, match="violation mask"):
+            self.make([0.0, 1.0], [0.0, 0.0], lhs=[2.5, 2.0], violated=[True, True])
 
 
 class TestSimulate:

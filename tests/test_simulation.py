@@ -12,7 +12,7 @@ from hyperon_leggett import (DecayMode, ProductionChannel,
 from hyperon_leggett.catalog import channel_correlation
 from hyperon_leggett.geometry import TripleSettings
 from hyperon_leggett.simulation import (EventSample, _generator, _random_unit,
-                                        _sample_about_axes,
+                                        _sample_about_axes, _sample_cosines,
                                         estimate_correlation_hemisphere,
                                         sample_single_decays,
                                         spin_correlation_matrix)
@@ -79,6 +79,25 @@ class TestSingleDecay:
         cdf = lambda c: (c + 1.0) / 2.0 + alpha * (c * c - 1.0) / 4.0
         result = stats.kstest(n[:, 2], cdf)
         assert result.pvalue > 0.01
+
+
+class TestSampleCosines:
+    @pytest.mark.parametrize("alpha", [1e-11, 1e-9, 1e-6])
+    def test_accurate_for_small_alpha(self, alpha):
+        c = _sample_cosines(alpha, 100_000, _generator(21))
+        r = _generator(21).random(100_000).astype(np.longdouble)
+        al = np.longdouble(alpha)
+        reference = (4 * r - 2 + al) / (np.sqrt((1 - al) ** 2 + 4 * al * r) + 1)
+        assert np.max(np.abs(c - reference)) <= 1e-15
+
+    def test_exact_linear_map_at_zero_alpha(self):
+        c = _sample_cosines(0.0, 100_000, _generator(22))
+        assert np.array_equal(c, 2.0 * _generator(22).random(100_000) - 1.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_within_range_at_unit_alpha(self, alpha):
+        c = _sample_cosines(alpha, 1_000_000, _generator(23))
+        assert np.all(np.abs(c) <= 1.0)
 
 
 class TestPairDecay:
