@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .correlations import pair_correlation
+from .correlations import pair_correlation, pair_density_matrix
 from .povm import MeasurementParams
-from .quantum import Direction, TwoQubitState, singlet_state, triplet_m0_state
+from .quantum import Direction, TwoQubitState
 
 CATALOG_ENV_VAR = "HYPERON_LEGGETT_CATALOG"
 
-MOTHERS = ("eta_c", "chi_c0")
+# Mother particle -> spin state of the hyperon pair it decays into.
+MOTHERS = {"eta_c": "singlet", "chi_c0": "triplet_m0"}
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,12 @@ class ProductionChannel:
 
     def __post_init__(self) -> None:
         if self.mother not in MOTHERS:
-            raise ValueError(f"unknown mother particle {self.mother!r}; expected one of {MOTHERS}")
+            raise ValueError(f"unknown mother particle {self.mother!r}; "
+                             f"expected one of {tuple(MOTHERS)}")
 
     @property
     def spin_state(self) -> str:
-        return "singlet" if self.mother == "eta_c" else "triplet_m0"
+        return MOTHERS[self.mother]
 
     def label(self) -> str:
         return f"{self.mother}->{self.mode_a.hyperon}+{self.mode_b.hyperon}"
@@ -141,15 +143,14 @@ def make_pair_channel(modes: list[DecayMode], hyperon: str,
 
 
 def channel_spin_state(channel: ProductionChannel) -> TwoQubitState:
-    return singlet_state() if channel.spin_state == "singlet" else triplet_m0_state()
+    return pair_density_matrix(channel.spin_state)
 
 
 def channel_correlation(channel: ProductionChannel, a: Direction, b: Direction) -> float:
     """Correlation function of the channel at settings (a, b), unbiased measurements.
 
-    For the triplet channel the A-side direction is pre-inverted along z, which
-    maps the triplet correlation onto the singlet analysis (up to the overall
-    sign convention documented in correlations.pair_correlation).
+    ``a`` is taken as inverted by correlations.a_side_inversion (the z flip for the
+    triplet), which maps the triplet onto the singlet analysis up to a sign.
     """
     pa = MeasurementParams.unsharp(channel.mode_a.alpha)
     pb = MeasurementParams.unsharp(channel.mode_b.alpha)

@@ -149,16 +149,9 @@ def _resolve_settings(args: argparse.Namespace, alpha_a: float):
     return build_settings(phi)
 
 
-def _metadata(args: argparse.Namespace, argv: Sequence[str],
-              extra: Mapping[str, Any] | None = None) -> dict[str, Any]:
-    meta: dict[str, Any] = {
-        "tool": TOOL,
-        "version": __version__,
-        "command": " ".join([TOOL, *argv]),
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+def _metadata(argv: Sequence[str], extra: Mapping[str, Any]) -> dict[str, Any]:
+    return {"tool": TOOL, "version": __version__, "command": " ".join([TOOL, *argv]),
+            **extra}
 
 
 def _emit_json(payload: Mapping[str, Any], out: str | None) -> None:
@@ -184,7 +177,7 @@ def cmd_predict(args: argparse.Namespace, argv: Sequence[str]) -> int:
                                 resolved.pa, resolved.pb)
     phi_star = optimal_phi(resolved.pa.alpha)
     max_lhs = leggett_max_lhs(resolved.pa.alpha, resolved.pb.alpha)
-    payload = _metadata(args, argv, {
+    payload = _metadata(argv, {
         **resolved.provenance(),
         "phi_rad": settings.phi, "phi_deg": math.degrees(settings.phi),
         "report": report.to_dict(),
@@ -218,7 +211,7 @@ def cmd_scan_phi(args: argparse.Namespace, argv: Sequence[str]) -> int:
             "violated": lhs > 2.0,
         },
         bound=2.0,
-        metadata=_metadata(args, argv, resolved.provenance()))
+        metadata=_metadata(argv, resolved.provenance()))
     _emit_csv(result, ("phi_deg", "phi_rad", "lhs", "bound", "margin", "violated"),
               args.out)
     return 0
@@ -238,7 +231,7 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
                  "lhs": leggett_max_lhs(alpha_a, alpha_b),
                  "violated": leggett_violation_condition(alpha_a, alpha_b)},
         bound=2.0,
-        metadata=_metadata(args, argv, {
+        metadata=_metadata(argv, {
             "bound": 2.0,
             "boundary": "(alpha_a^2 + 1/9) * alpha_b^2 = 1",
             "symmetric_alpha_threshold": symmetric_alpha_threshold(),
@@ -259,6 +252,9 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     sample = sample_pair_decay(resolved.channel, args.events, args.seed,
                                catalog_sha256=resolved.catalog_sha)
     estimate = estimate_leggett_lhs(sample, settings)
+    if estimate.std_error == 0.0:
+        raise ValueError("the estimate has zero standard error (every event gives the same "
+                         "pair sums at these settings), so its significance is undefined")
     reference = _leggett_report_at(settings, resolved.channel.spin_state,
                                    resolved.pa, resolved.pb)
 
@@ -267,11 +263,11 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     events_path = out_dir / "events.txt"
     save_events(events_path, sample)
 
-    significance = (estimate.lhs_hat - 2.0) / estimate.std_error if estimate.std_error else 0.0
+    significance = (estimate.lhs_hat - 2.0) / estimate.std_error
     violation = significance >= args.sigma_threshold
     # eta overrides are refused above, so the summary carries no eta keys.
     unbiased = {k: v for k, v in resolved.provenance().items() if not k.startswith("eta_")}
-    payload = _metadata(args, argv, {
+    payload = _metadata(argv, {
         **unbiased,
         "generator": sample.generator,
         "seed": args.seed,

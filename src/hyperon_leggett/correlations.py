@@ -8,8 +8,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .povm import MeasurementParams, povm_element
-from .quantum import ATOL, Direction, TwoQubitState, expectation, tensor
+from .quantum import (ATOL, Direction, TwoQubitState, expectation, singlet_state,
+                      tensor, triplet_m0_state)
+
+# Each pair state: its density matrix and the diagonal of its spin-correlation
+# matrix C_ij = <sigma_i (x) sigma_j>, which is diagonal for both states.
+PAIR_STATES = {"singlet": (singlet_state, (-1.0, -1.0, -1.0)),
+               "triplet_m0": (triplet_m0_state, (1.0, 1.0, -1.0))}
+
+
+def spin_correlation_diagonal(spin_state: str) -> np.ndarray:
+    """Diagonal of the pair state's spin-correlation matrix C; refuses unknown states."""
+    if spin_state not in PAIR_STATES:
+        raise ValueError(f"unknown spin state {spin_state!r}; "
+                         f"expected one of {tuple(PAIR_STATES)}")
+    return np.array(PAIR_STATES[spin_state][1])
+
+
+def pair_density_matrix(spin_state: str) -> TwoQubitState:
+    spin_correlation_diagonal(spin_state)  # refuses an unknown state
+    return PAIR_STATES[spin_state][0]()
+
+
+def a_side_inversion(spin_state: str) -> np.ndarray:
+    """Diagonal of F = C * C_xx for A-side directions: the identity for the singlet,
+    the z flip for the triplet.  As C^2 = 1, a^T C b = C_xx * ((F a).b)."""
+    c = spin_correlation_diagonal(spin_state)
+    return c * c[0]
 
 
 @dataclass(frozen=True)
@@ -45,10 +73,6 @@ class JointProbTable:
 
     def correlation(self) -> float:
         return self.p_pp - self.p_pm - self.p_mp + self.p_mm
-
-    def as_dict(self) -> dict[str, float]:
-        return {"p_pp": self.p_pp, "p_pm": self.p_pm,
-                "p_mp": self.p_mp, "p_mm": self.p_mm}
 
 
 def joint_prob_matrix(state: TwoQubitState, pa: MeasurementParams, a: Direction,
@@ -86,20 +110,22 @@ def joint_prob_singlet(pa: MeasurementParams, a: Direction,
 
 
 def pair_correlation(spin_state: str, pa: MeasurementParams, a, pb: MeasurementParams, b):
-    """Closed-form pair-state correlation at (..., 3) direction arrays a, b.
+    """Closed-form pair-state correlation C_xx*alpha_a*alpha_b*(a.b) at (..., 3)
+    direction arrays a, b, with a already inverted by a_side_inversion.
 
     singlet: eta_a*eta_b - alpha_a*alpha_b*(a.b).  triplet_m0 (unbiased only):
-    alpha_a*alpha_b*(a_x b_x + a_y b_y - a_z b_z) at the A direction inverted
-    along z, i.e. +alpha_a*alpha_b*(a.b): the same magnitude, so every bound is
-    identical; the relative sign is exposed as is.  The dot product is written
-    out because a matrix product differs from the scalar one in the last bit.
+    +alpha_a*alpha_b*(a.b), i.e. alpha_a*alpha_b*(a_x b_x + a_y b_y - a_z b_z)
+    at the raw A direction: the same magnitude, so every bound is identical;
+    the relative sign is exposed as is.  The dot product is written out because
+    a matrix product differs from the scalar one in the last bit.
     """
+    c_xx = spin_correlation_diagonal(spin_state)[0]
     a_dot_b = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
     if spin_state == "singlet":
-        return pa.eta * pb.eta - pa.alpha * pb.alpha * a_dot_b
+        return pa.eta * pb.eta + c_xx * pa.alpha * pb.alpha * a_dot_b
     if pa.eta != 0.0 or pb.eta != 0.0:
         raise ValueError("triplet correlation is defined for unbiased measurements only")
-    return pa.alpha * pb.alpha * a_dot_b
+    return c_xx * pa.alpha * pb.alpha * a_dot_b
 
 
 def correlation_singlet(pa: MeasurementParams, a: Direction,
@@ -112,8 +138,8 @@ def correlation_triplet_m0(pa: MeasurementParams, a: Direction,
                            pb: MeasurementParams, b: Direction) -> float:
     """Closed-form zero-projection-triplet correlation for unbiased measurements,
     alpha_a*alpha_b*(a_x b_x + a_y b_y - a_z b_z); see pair_correlation."""
-    return float(pair_correlation("triplet_m0", pa, parity_flip_z(a).as_array(),
-                                  pb, b.as_array()))
+    a_inverted = a_side_inversion("triplet_m0") * a.as_array()
+    return float(pair_correlation("triplet_m0", pa, a_inverted, pb, b.as_array()))
 
 
 def parity_flip_z(d: Direction) -> Direction:

@@ -103,7 +103,8 @@ def settings_arrays(phi, frame: tuple[Direction, Direction, Direction] = DEFAULT
 
 def _unit(v: np.ndarray) -> np.ndarray:
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return v / np.sqrt(x * x + y * y + z * z)[..., None]
+    v /= np.sqrt(x * x + y * y + z * z)[..., None]  # in place: callers pass a temporary
+    return v
 
 
 def _angle_between(u: Direction, v: Direction) -> float:
@@ -113,7 +114,7 @@ def _angle_between(u: Direction, v: Direction) -> float:
     return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), u.dot(v))
 
 
-def validate_settings(settings: TripleSettings, tol: float = GEOM_TOL) -> list[str]:
+def validate_settings(settings: TripleSettings) -> list[str]:
     """Check every construction invariant; return one message per violation.
 
     An empty list means the settings form a valid triple-measurement layout.
@@ -129,7 +130,7 @@ def validate_settings(settings: TripleSettings, tol: float = GEOM_TOL) -> list[s
     for i in range(3):
         angle = _angle_between(settings.b[i], settings.b_prime[i])
         residual = abs(angle - settings.phi)
-        if residual > tol:
+        if residual > GEOM_TOL:
             violations.append(f"pair_angle[{i+1}]: |angle - phi| residual {residual:.3e}")
 
     for i in range(3):
@@ -141,7 +142,7 @@ def validate_settings(settings: TripleSettings, tol: float = GEOM_TOL) -> list[s
         residual = math.sqrt((sx / norm - ai.x) ** 2
                              + (sy / norm - ai.y) ** 2
                              + (sz / norm - ai.z) ** 2)
-        if residual > tol:
+        if residual > GEOM_TOL:
             violations.append(f"bisection[{i+1}]: |(b+b')/|b+b'| - a| residual {residual:.3e}")
 
     diffs = [(settings.b[i].x - settings.b_prime[i].x,
@@ -152,14 +153,14 @@ def validate_settings(settings: TripleSettings, tol: float = GEOM_TOL) -> list[s
             residual = abs(diffs[i][0] * diffs[j][0]
                            + diffs[i][1] * diffs[j][1]
                            + diffs[i][2] * diffs[j][2])
-            if residual > tol:
+            if residual > GEOM_TOL:
                 violations.append(
                     f"difference_orthogonality[{i+1},{j+1}]: |(b_i-b_i').(b_j-b_j')| "
                     f"residual {residual:.3e}")
     return violations
 
 
-def validate_flipped_settings(settings: TripleSettings, tol: float = GEOM_TOL) -> list[str]:
+def validate_flipped_settings(settings: TripleSettings) -> list[str]:
     """Check the flipped layout used by the difference-form bound.
 
     Requires the sum vectors (b_i + b_i') to be mutually orthogonal with
@@ -174,14 +175,14 @@ def validate_flipped_settings(settings: TripleSettings, tol: float = GEOM_TOL) -
     for i in range(3):
         norm = math.sqrt(sums[i][0] ** 2 + sums[i][1] ** 2 + sums[i][2] ** 2)
         residual = abs(norm - expected)
-        if residual > tol:
+        if residual > GEOM_TOL:
             violations.append(
                 f"sum_length[{i+1}]: ||b+b'| - 2cos(phi/2)| residual {residual:.3e}")
     for i in range(3):
         for j in range(i + 1, 3):
             residual = abs(sums[i][0] * sums[j][0] + sums[i][1] * sums[j][1]
                            + sums[i][2] * sums[j][2])
-            if residual > tol:
+            if residual > GEOM_TOL:
                 violations.append(
                     f"sum_orthogonality[{i+1},{j+1}]: |(b_i+b_i').(b_j+b_j')| "
                     f"residual {residual:.3e}")

@@ -76,8 +76,7 @@ def _check_outcome(name: str, s: int) -> int:
 def ch_povm_lhs(p_ab: float, p_abp: float, p_apb: float, p_apbp: float,
                 marginal_a_prime: float, marginal_b: float,
                 pa: MeasurementParams, pb: MeasurementParams,
-                j: int, k: int,
-                settings_used: str = "") -> InequalityReport:
+                j: int, k: int) -> InequalityReport:
     """Joint-probability bound for local realism; bound is 0.
 
     Inputs are the joint probabilities P_jk at the four setting pairs
@@ -95,7 +94,7 @@ def ch_povm_lhs(p_ab: float, p_abp: float, p_apb: float, p_apbp: float,
            - (1.0 + j * pa.eta) * marginal_b
            + 0.5 * ((1.0 + j * pa.eta) * (1.0 + k * pb.eta) - abs(pa.alpha * pb.alpha)))
     return InequalityReport(
-        name="ch_povm", lhs=lhs, bound=0.0, settings_used=settings_used,
+        name="ch_povm", lhs=lhs, bound=0.0, settings_used="",
         inputs={"p_ab": p_ab, "p_abp": p_abp, "p_apb": p_apb, "p_apbp": p_apbp,
                 "marginal_a_prime": marginal_a_prime, "marginal_b": marginal_b,
                 "eta_a": pa.eta, "alpha_a": pa.alpha,
@@ -103,8 +102,7 @@ def ch_povm_lhs(p_ab: float, p_abp: float, p_apb: float, p_apbp: float,
 
 
 def chsh_povm(e_ab: float, e_abp: float, e_apb: float, e_apbp: float,
-              pa: MeasurementParams, pb: MeasurementParams,
-              settings_used: str = "") -> InequalityReport:
+              pa: MeasurementParams, pb: MeasurementParams) -> InequalityReport:
     """Correlation-function bound for local realism.
 
     lhs = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|,
@@ -113,7 +111,7 @@ def chsh_povm(e_ab: float, e_abp: float, e_apb: float, e_apbp: float,
     lhs = abs(e_ab - e_abp + e_apb + e_apbp)
     bound = 2.0 * (abs(pa.eta) + abs(pa.alpha)) * (abs(pb.eta) + abs(pb.alpha))
     return InequalityReport(
-        name="chsh_povm", lhs=lhs, bound=bound, settings_used=settings_used,
+        name="chsh_povm", lhs=lhs, bound=bound, settings_used="",
         inputs={"e_ab": e_ab, "e_abp": e_abp, "e_apb": e_apb, "e_apbp": e_apbp,
                 "eta_a": pa.eta, "alpha_a": pa.alpha,
                 "eta_b": pb.eta, "alpha_b": pb.alpha})

@@ -90,25 +90,25 @@ def tensor(m2a: np.ndarray, m2b: np.ndarray) -> np.ndarray:
     return np.kron(m2a, m2b)
 
 
-def is_hermitian(m: np.ndarray, tol: float = ATOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) < tol)
+    return bool(np.max(np.abs(m - m.conj().T)) < ATOL)
 
 
-def is_positive_semidefinite(m: np.ndarray, tol: float = ATOL) -> bool:
-    if not is_hermitian(m, tol):
+def is_positive_semidefinite(m: np.ndarray) -> bool:
+    if not is_hermitian(m):
         return False
-    return bool(np.min(np.linalg.eigvalsh(np.asarray(m, dtype=complex))) > -tol)
+    return bool(np.min(np.linalg.eigvalsh(np.asarray(m, dtype=complex))) > -ATOL)
 
 
-def is_density_matrix(m: np.ndarray, tol: float = ATOL) -> bool:
+def is_density_matrix(m: np.ndarray) -> bool:
     """Unit trace, Hermitian, positive semidefinite (within tolerance)."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    if abs(np.trace(m) - 1.0) > tol:
+    if abs(np.trace(m) - 1.0) > ATOL:
         return False
-    return is_positive_semidefinite(m, tol)
+    return is_positive_semidefinite(m)
 
 
 @dataclass(frozen=True)

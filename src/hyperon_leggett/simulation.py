@@ -9,8 +9,8 @@ azimuth is uniform.  For an entangled pair the joint density is
 
     W(n_A, n_B) = (1/(4 pi)^2) * (1 + alpha_a alpha_b n_A^T C n_B)
 
-with C the 3x3 spin-correlation matrix of the pair state (-identity for the
-singlet, diag(1, 1, -1) for the zero-projection triplet).  n_A is drawn
+with C the 3x3 spin-correlation matrix of the pair state (diagonal; its
+diagonal per state is tabulated in correlations.PAIR_STATES).  n_A is drawn
 uniformly (its marginal is isotropic) and n_B from the conditional density
 about the axis C^T n_A, which is again linear in the cosine.  C is recomputed
 from the density matrix and checked before any event is drawn.
@@ -37,8 +37,8 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .catalog import ProductionChannel, channel_spin_state
+from .correlations import a_side_inversion, spin_correlation_diagonal
 from .geometry import TripleSettings, validate_settings
-from .correlations import parity_flip_z
 from .inequalities import leggett_sum_value
 from .quantum import PAULI, Direction, expectation, tensor
 
@@ -47,11 +47,10 @@ GENERATOR = "philox4x64"
 _EVENTS_FORMAT = "hyperon-leggett-events 1"
 _EVENT_ROW_FORMAT = " ".join(["%.17g"] * 6) + "\n"
 _WRITE_BLOCK_ROWS = 4096
-
-_EXPECTED_C = {
-    "singlet": -np.eye(3),
-    "triplet_m0": np.diag([1.0, 1.0, -1.0]),
-}
+# Provenance fields of an events file, in header order; each is an EventSample field.
+_PROVENANCE_FIELDS = ("generator", "seed", "mother", "hyperon_a", "hyperon_b",
+                      "alpha_a", "alpha_b", "spin_state", "catalog_sha256")
+_BOOTSTRAP_REPLICAS = 200
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -61,18 +60,18 @@ def _generator(seed: int) -> np.random.Generator:
 def spin_correlation_matrix(channel: ProductionChannel) -> np.ndarray:
     """3x3 matrix <sigma_i (x) sigma_j> of the channel's pair state.
 
-    Computed from the density matrix and compared against the expected closed
-    form; the exact closed form is returned so the sampler sees clean entries.
+    Computed from the density matrix and checked against the tabulated
+    diagonal, whose exact entries are returned so the sampler sees clean ones.
     """
     state = channel_spin_state(channel)
     computed = np.array([[expectation(state, tensor(si, sj)) for sj in PAULI]
                          for si in PAULI])
-    expected = _EXPECTED_C[channel.spin_state]
+    expected = np.diag(spin_correlation_diagonal(channel.spin_state))
     residual = float(np.max(np.abs(computed - expected)))
     if residual > 1e-12:
         raise ArithmeticError(
             f"spin-correlation matrix residual {residual:.3e} for {channel.spin_state}")
-    return expected.copy()
+    return expected
 
 
 def _sample_cosines(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -150,6 +149,7 @@ class EventSample:
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "alpha_a", float(self.alpha_a))
         object.__setattr__(self, "alpha_b", float(self.alpha_b))
+        spin_correlation_diagonal(self.spin_state)  # refuses an unknown pair state
         for name in ("n_a", "n_b"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.ndim != 2 or arr.shape[1] != 3:
@@ -195,16 +195,12 @@ class EstimatedCorrelation:
             raise ValueError("std_error must be >= 0")
 
 
-def _moment_products(sample: EventSample, a: Direction, b: Direction) -> np.ndarray:
-    return 9.0 * (sample.n_a @ a.as_array()) * (sample.n_b @ b.as_array())
-
-
 def estimate_correlation(sample: EventSample, a: Direction, b: Direction) -> EstimatedCorrelation:
     """Moment estimator 9 <(n_A.a)(n_B.b)>, unbiased for the channel correlation
     at raw directions (a, b); standard error from the per-event sample spread."""
     if sample.n_events < 100:
         raise ValueError(f"sample too small: {sample.n_events} events, need at least 100")
-    products = _moment_products(sample, a, b)
+    products = 9.0 * (sample.n_a @ a.as_array()) * (sample.n_b @ b.as_array())
     return EstimatedCorrelation(e_hat=float(products.mean()),
                                 std_error=float(products.std(ddof=1) / math.sqrt(len(products))),
                                 n_used=len(products))
@@ -231,41 +227,39 @@ class LeggettEstimate:
     method: str
 
 
-def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings,
-                         alpha_b: float | None = None, *,
-                         n_bootstrap: int = 200) -> LeggettEstimate:
+def _pair_sums(sample: EventSample, a: np.ndarray, b: Direction, b_prime: Direction) -> np.ndarray:
+    """Per event 9 (n_A.a)(n_B.b) + 9 (n_A.a)(n_B.b'); regrouping the products changes bits."""
+    moment_a = 9.0 * (sample.n_a @ a)
+    return moment_a * (sample.n_b @ b.as_array()) + moment_a * (sample.n_b @ b_prime.as_array())
+
+
+def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings) -> LeggettEstimate:
     """Sum-form left-hand side estimated from events, with its standard error.
 
     Plugs the six moment-estimated correlations into the sum-form bound
-    expression.  For triplet samples the A-side settings are pre-inverted
-    along z, mirroring the channel correlation convention.  Errors propagate
-    by the delta method through the absolute values; when any pair sum sits
-    within two standard errors of zero (where the delta method degenerates)
-    a seeded bootstrap over events is used instead.  Each of its replicas
-    draws n event indices with replacement, counts how often each event was
-    drawn, and takes the pair-sum means as ``counts @ per_event / n``.
+    expression, at A-side settings inverted by correlations.a_side_inversion
+    (the z flip for triplet samples), as the channel correlation takes them.
+    Errors propagate by the delta method through the absolute values; when any
+    pair sum sits within two standard errors of zero (where the delta method
+    degenerates) a seeded bootstrap over events is used instead.  Each of its
+    replicas draws n event indices with replacement, counts how often each
+    event was drawn, and takes the pair-sum means as ``counts @ per_event / n``.
     """
     if sample.n_events < 100:
         raise ValueError(f"sample too small: {sample.n_events} events, need at least 100")
     violations = validate_settings(settings)
     if violations:
         raise ValueError("invalid triple settings: " + "; ".join(violations))
-    if alpha_b is None:
-        alpha_b = sample.alpha_b
 
-    flip = sample.spin_state == "triplet_m0"
-    a_dirs = [parity_flip_z(a) if flip else a for a in settings.a]
-
+    inversion = a_side_inversion(sample.spin_state)
     n = sample.n_events
-    per_event = np.column_stack([
-        _moment_products(sample, a_dirs[i], settings.b[i])
-        + _moment_products(sample, a_dirs[i], settings.b_prime[i])
-        for i in range(3)])
+    per_event = np.column_stack([_pair_sums(sample, inversion * a.as_array(), b, bp)
+                                 for a, b, bp in zip(settings.a, settings.b, settings.b_prime)])
     means = per_event.mean(axis=0)
     cov = np.cov(per_event, rowvar=False) / n
     se_means = np.sqrt(np.diag(cov))
 
-    lhs_hat = leggett_sum_value(means, alpha_b, settings.phi)
+    lhs_hat = leggett_sum_value(means, sample.alpha_b, settings.phi)
 
     if np.all(np.abs(means) > 2.0 * se_means):
         grad = np.sign(means) / 3.0
@@ -274,11 +268,11 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings,
     else:
         # Bootstrap keyed off the sample seed so reruns match exactly.
         rng = _generator(sample.seed ^ 0x626F6F74)
-        replica_means = np.empty((n_bootstrap, 3))
-        for r in range(n_bootstrap):
+        replica_means = np.empty((_BOOTSTRAP_REPLICAS, 3))
+        for r in range(_BOOTSTRAP_REPLICAS):
             counts = np.bincount(rng.integers(0, n, n), minlength=n)
             replica_means[r] = counts @ per_event / n
-        replicas = leggett_sum_value(replica_means, alpha_b, settings.phi)
+        replicas = leggett_sum_value(replica_means, sample.alpha_b, settings.phi)
         std_error = float(replicas.std(ddof=1))
         method = "bootstrap"
 
@@ -290,23 +284,11 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings,
 
 def save_events(path: str | Path, sample: EventSample) -> None:
     """Versioned columnar text file: provenance header, then six floats per event."""
-    header = "\n".join([
-        _EVENTS_FORMAT,
-        f"generator {sample.generator}",
-        f"seed {sample.seed}",
-        f"mother {sample.mother}",
-        f"hyperon_a {sample.hyperon_a}",
-        f"hyperon_b {sample.hyperon_b}",
-        f"alpha_a {sample.alpha_a!r}",
-        f"alpha_b {sample.alpha_b!r}",
-        f"spin_state {sample.spin_state}",
-        f"catalog_sha256 {sample.catalog_sha256}",
-        f"n_events {sample.n_events}",
-        "columns nax nay naz nbx nby nbz",
-    ])
+    header = [_EVENTS_FORMAT, *(f"{key} {getattr(sample, key)}" for key in _PROVENANCE_FIELDS),
+              f"n_events {sample.n_events}", "columns nax nay naz nbx nby nbz"]
     # The same bytes as np.savetxt(fmt="%.17g", comments="# ").
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + header.replace("\n", "\n# ") + "\n")
+        fh.write("".join(f"# {line}\n" for line in header))
         write_row_blocks(fh, _EVENT_ROW_FORMAT, [sample.n_a, sample.n_b])
 
 
@@ -330,17 +312,12 @@ def load_events(path: str | Path) -> EventSample:
                 break
             key, _, value = line[2:].strip().partition(" ")
             meta[key] = value
-    required = ("generator", "seed", "mother", "hyperon_a", "hyperon_b",
-                "alpha_a", "alpha_b", "spin_state", "catalog_sha256", "n_events")
-    missing = [key for key in required if key not in meta]
+    missing = [key for key in (*_PROVENANCE_FIELDS, "n_events") if key not in meta]
     if missing:
         raise ValueError(f"{p}: missing header fields {missing}")
     data = np.loadtxt(p, comments="#", ndmin=2)
     if data.shape != (int(meta["n_events"]), 6):
         raise ValueError(f"{p}: expected {meta['n_events']} rows of 6 columns, "
                          f"got {data.shape}")
-    return EventSample(n_a=data[:, :3], n_b=data[:, 3:], seed=int(meta["seed"]),
-                       mother=meta["mother"], hyperon_a=meta["hyperon_a"],
-                       hyperon_b=meta["hyperon_b"], alpha_a=float(meta["alpha_a"]),
-                       alpha_b=float(meta["alpha_b"]), spin_state=meta["spin_state"],
-                       generator=meta["generator"], catalog_sha256=meta["catalog_sha256"])
+    return EventSample(n_a=data[:, :3], n_b=data[:, 3:],
+                       **{key: meta[key] for key in _PROVENANCE_FIELDS})

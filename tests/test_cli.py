@@ -233,6 +233,23 @@ class TestSimulate:
         s2 = (d2 / "summary.json").read_text(encoding="utf-8").replace(str(d2), "OUT")
         assert s1 == s2
 
+    def test_zero_standard_error_refused(self, capsys, tmp_path):
+        # b_i = e_i and b_i' = -e_i (phi = pi) is a valid layout whose pair sums
+        # vanish event by event, so the estimate has no spread at all.
+        from hyperon_leggett import X_AXIS, Y_AXIS, Z_AXIS, save_settings, validate_settings
+        from hyperon_leggett.geometry import TripleSettings
+        settings = TripleSettings(math.pi, (X_AXIS, Y_AXIS, Z_AXIS), (Z_AXIS, X_AXIS, Y_AXIS),
+                                  (-Z_AXIS, -X_AXIS, -Y_AXIS))
+        assert validate_settings(settings) == []
+        path = tmp_path / "settings.txt"
+        save_settings(path, settings)
+        code, out, err = run(["simulate", "--channel", "SigmaPlus", "--events", "1000",
+                              "--settings-file", str(path), "--out", str(tmp_path / "run")],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "zero standard error" in err
+
     def test_sigma_threshold_is_configurable(self, capsys, tmp_path):
         code, out, _ = run(["simulate", "--channel", "SigmaPlus", "--events", "2000",
                             "--seed", "5", "--sigma-threshold", "1000",

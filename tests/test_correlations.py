@@ -8,6 +8,8 @@ from hyperon_leggett import (JointProbTable, MeasurementParams, X_AXIS, Z_AXIS,
                              correlation_via_operators, joint_prob_matrix,
                              joint_prob_singlet, parity_flip_z, singlet_state,
                              triplet_m0_state)
+from hyperon_leggett.correlations import (PAIR_STATES, a_side_inversion, pair_correlation,
+                                          pair_density_matrix, spin_correlation_diagonal)
 from hyperon_leggett.quantum import Direction
 
 from conftest import random_direction, random_params
@@ -172,6 +174,35 @@ class TestCorrelationValues:
             e = correlation_singlet(pa, a, pb, b)
             limit = (abs(pa.eta) + abs(pa.alpha)) * (abs(pb.eta) + abs(pb.alpha))
             assert abs(e) <= limit + 1e-12
+
+
+class TestPairStateTable:
+    @pytest.mark.parametrize("lookup", [spin_correlation_diagonal, a_side_inversion,
+                                        pair_density_matrix])
+    @pytest.mark.parametrize("name", ["Singlet", "triplet"])
+    def test_unknown_state_refused(self, lookup, name):
+        with pytest.raises(ValueError, match="unknown spin state.*'singlet', 'triplet_m0'"):
+            lookup(name)
+
+    def test_pair_correlation_refuses_unknown_state(self):
+        # A misspelled singlet must not be read as the triplet.
+        with pytest.raises(ValueError, match="unknown spin state"):
+            pair_correlation("Singlet", SHARP, X_AXIS.as_array(), SHARP, X_AXIS.as_array())
+
+    def test_inversions(self):
+        assert a_side_inversion("singlet").tolist() == [1.0, 1.0, 1.0]
+        assert a_side_inversion("triplet_m0").tolist() == [1.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("state", sorted(PAIR_STATES))
+    def test_inverted_closed_form_matches_operator_path(self, state, rng):
+        inversion = a_side_inversion(state)
+        for _ in range(100):
+            pa = MeasurementParams.unsharp(rng.uniform(-1, 1))
+            pb = MeasurementParams.unsharp(rng.uniform(-1, 1))
+            a, b = random_direction(rng), random_direction(rng)
+            closed = pair_correlation(state, pa, inversion * a.as_array(), pb, b.as_array())
+            matrix = correlation_via_operators(pair_density_matrix(state), pa, a, pb, b)
+            assert abs(closed - matrix) < 1e-12
 
 
 class TestParityFlip:

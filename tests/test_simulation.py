@@ -10,14 +10,14 @@ from hyperon_leggett import (DecayMode, ProductionChannel,
                              leggett_max_lhs, load_events, optimal_phi,
                              sample_pair_decay, sample_single_decay, save_events)
 from hyperon_leggett.catalog import channel_correlation
-from hyperon_leggett.geometry import TripleSettings
+from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
 from hyperon_leggett.simulation import (EventSample, _generator, _random_unit,
                                         _sample_about_axes, _sample_cosines,
                                         estimate_correlation_hemisphere,
                                         sample_single_decays,
                                         spin_correlation_matrix)
 
-from conftest import random_direction
+from conftest import random_direction, random_rotation, rotated
 
 
 def _channel(alpha_a=0.98, alpha_b=0.98, mother="eta_c"):
@@ -253,6 +253,23 @@ class TestEstimateLeggett:
         e2 = estimate_leggett_lhs(sample, settings)
         assert e1.lhs_hat == e2.lhs_hat and e1.std_error == e2.std_error
 
+    @pytest.mark.parametrize("mother", ["eta_c", "chi_c0"])
+    def test_e_sums_bit_for_bit(self, rng, mother):
+        # A rotated frame puts three non-zero terms in every dot product, so a
+        # regrouped product (a matrix-matrix product, or n_b.(b + b')) shows.
+        rotation = random_rotation(rng)
+        settings = build_settings(1.1, frame=tuple(rotated(rotation, d) for d in DEFAULT_FRAME),
+                                  axes=tuple(rotated(rotation, d) for d in DEFAULT_AXES))
+        sample = sample_pair_decay(_channel(-0.98, 0.98, mother), 20_000, seed=45)
+        flip = np.array([1.0, 1.0, -1.0 if mother == "chi_c0" else 1.0])
+        columns = []
+        for a, b, bp in zip(settings.a, settings.b, settings.b_prime):
+            moment_a = 9.0 * (sample.n_a @ (flip * a.as_array()))
+            columns.append(moment_a * (sample.n_b @ b.as_array())
+                           + moment_a * (sample.n_b @ bp.as_array()))
+        reference = np.column_stack(columns).mean(axis=0)
+        assert estimate_leggett_lhs(sample, settings).e_sums == tuple(reference.tolist())
+
     def test_invalid_settings_rejected(self):
         sample = sample_pair_decay(SIGMA_LIKE, 1000, seed=44)
         s = build_settings(1.0)
@@ -310,6 +327,22 @@ class TestEventFile:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="seed"):
             load_events(path)
+
+    def test_unknown_spin_state_in_header_rejected(self, tmp_path):
+        sample = sample_pair_decay(SIGMA_LIKE, 200, seed=55)
+        path = tmp_path / "events.txt"
+        save_events(path, sample)
+        text = path.read_text(encoding="utf-8").replace("# spin_state singlet\n",
+                                                        "# spin_state triplet\n")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown spin state 'triplet'"):
+            load_events(path)
+
+    def test_unknown_spin_state_rejected(self):
+        unit = np.array([[0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="unknown spin state"):
+            EventSample(n_a=unit, n_b=unit, seed=1, mother="eta_c", hyperon_a="A",
+                        hyperon_b="B", alpha_a=0.5, alpha_b=0.5, spin_state="triplet")
 
     def test_non_unit_rows_rejected(self):
         bad = np.array([[0.0, 0.0, 2.0]])
