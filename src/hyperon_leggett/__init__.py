@@ -28,7 +28,7 @@ from .catalog import (DecayMode, ProductionChannel, channel_correlation,
                       default_catalog_path, load_catalog, make_pair_channel)
 from .simulation import (EstimatedCorrelation, EventSample, estimate_correlation,
                          estimate_leggett_lhs, load_events, sample_pair_decay,
-                         sample_single_decay, save_events)
+                         save_events)
 
 __all__ = [
     "Direction", "TwoQubitState", "X_AXIS", "Y_AXIS", "Z_AXIS",
@@ -47,6 +47,5 @@ __all__ = [
     "DecayMode", "ProductionChannel", "channel_correlation",
     "default_catalog_path", "load_catalog", "make_pair_channel",
     "EstimatedCorrelation", "EventSample", "estimate_correlation",
-    "estimate_leggett_lhs", "load_events", "sample_pair_decay",
-    "sample_single_decay", "save_events",
+    "estimate_leggett_lhs", "load_events", "sample_pair_decay", "save_events",
 ]

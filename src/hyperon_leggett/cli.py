@@ -36,8 +36,8 @@ from .inequalities import (InequalityReport, leggett_max_lhs, leggett_sum_curve,
                            optimal_phi, symmetric_alpha_threshold)
 from .povm import MeasurementParams
 from .quantum import Direction, singlet_state, triplet_m0_state
-from .simulation import (estimate_leggett_lhs, sample_pair_decay, save_events,
-                         spin_correlation_matrix, write_row_blocks)
+from .simulation import (estimate_leggett_lhs, event_moments, sample_pair_decay,
+                         save_events, spin_correlation_matrix, write_row_blocks)
 
 TOOL = "hyperon-leggett"
 
@@ -343,10 +343,9 @@ def _run_checks(seed: int, trials: int, negative_control: bool) -> list[tuple[st
         mode = DecayMode("checkY", "check", 0.9, 0.0, None)
         channel = ProductionChannel(mother, mode, mode)
         c_matrix = spin_correlation_matrix(channel)
-        sample = sample_pair_decay(channel, n_events, seed)
-        prods = 9.0 * np.einsum("ni,nj->nij", sample.n_a, sample.n_b)
-        mean = prods.mean(axis=0)
-        se = prods.std(axis=0, ddof=1) / math.sqrt(n_events)
+        count, mean, scatter = event_moments(sample_pair_decay(channel, n_events, seed))
+        mean = 9.0 * mean.reshape(3, 3)
+        se = 9.0 * np.sqrt(np.diag(scatter) / ((count - 1) * count)).reshape(3, 3)
         target = 0.9 * 0.9 * c_matrix
         worst_sigma = max(worst_sigma, float(np.max(np.abs(mean - target) / se)))
     results.append(("sampler moment matrix vs spin-correlation matrix",

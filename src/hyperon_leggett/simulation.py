@@ -22,9 +22,9 @@ Estimator
 ---------
 The sphere average of (n.a)(n.u) equals (a.u)/3; that moment identity applies
 once per side, so ``9 <(n_A.a)(n_B.b)>`` is an unbiased estimator of the
-channel correlation at raw directions (a, b).  A hemisphere-sign variant
-(factor 4, from the sphere average of sign(n.a) n being a/2) is provided as a
-higher-variance cross-check.
+channel correlation at raw directions (a, b).  It is w.x with w = 9 vec(a b^T)
+and x = vec(n_A n_B^T), so the count, mean and centred sum of squares of x
+(event_moments) determine every estimate and its error, for any settings.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ GENERATOR = "philox4x64"
 
 _EVENTS_FORMAT = "hyperon-leggett-events 1"
 _EVENT_ROW_FORMAT = " ".join(["%.17g"] * 6) + "\n"
-_WRITE_BLOCK_ROWS = 4096
+# Rows per block when writing text and when accumulating moments.
+_BLOCK_ROWS = 4096
 # Provenance fields of an events file, in header order; each is an EventSample field.
 _PROVENANCE_FIELDS = ("generator", "seed", "mother", "hyperon_a", "hyperon_b",
                       "alpha_a", "alpha_b", "spin_state", "catalog_sha256")
@@ -114,11 +115,6 @@ def _random_unit(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([s * np.cos(psi), s * np.sin(psi), c])
 
 
-def sample_single_decay(u: Direction, alpha: float, seed: int) -> Direction:
-    """One daughter direction from a polarized decay, density (1 + alpha u.n)/(4 pi)."""
-    return Direction.normalized(*sample_single_decays(u, alpha, 1, seed)[0])
-
-
 def sample_single_decays(u: Direction, alpha: float, n_events: int, seed: int) -> np.ndarray:
     """(n_events, 3) array of daughter directions from a polarized decay."""
     if not -1.0 <= alpha <= 1.0:
@@ -151,7 +147,8 @@ class EventSample:
         object.__setattr__(self, "alpha_b", float(self.alpha_b))
         spin_correlation_diagonal(self.spin_state)  # refuses an unknown pair state
         for name in ("n_a", "n_b"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
+            # A read-only view: float input (a loaded file's rows) is not copied.
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError(f"{name} must have shape (N, 3)")
             worst = float(np.max(np.abs(np.einsum("ij,ij->i", arr, arr) - 1.0)))
@@ -184,6 +181,29 @@ def sample_pair_decay(channel: ProductionChannel, n_events: int, seed: int,
                        spin_state=channel.spin_state, catalog_sha256=catalog_sha256)
 
 
+def event_moments(sample: EventSample) -> tuple[int, np.ndarray, np.ndarray]:
+    """Count, mean and centred sum of squares sum (x - mean)(x - mean)^T of the
+    per-event 9-vectors x = vec(n_A n_B^T), over blocks of a fixed size, each
+    centred on its own mean and merged in order (Chan, Golub & LeVeque,
+    "Algorithms for computing the sample variance", 1983): raw second moments
+    never cancel."""
+    count, mean, scatter = 0, np.zeros(9), np.zeros((9, 9))
+    for start in range(0, sample.n_events, _BLOCK_ROWS):
+        n_a = sample.n_a[start:start + _BLOCK_ROWS].T
+        n_b = sample.n_b[start:start + _BLOCK_ROWS].T
+        # One row of x per component, so the reductions run over contiguous rows.
+        x = np.multiply(n_a[:, None, :], n_b[None, :, :], order="C").reshape(9, -1)
+        rows = x.shape[1]
+        block_mean = x.mean(axis=1)
+        x -= block_mean[:, None]
+        delta = block_mean - mean
+        total = count + rows
+        scatter += x @ x.T + np.outer(delta, delta) * (count * rows / total)
+        mean += delta * (rows / total)
+        count = total
+    return count, mean, scatter
+
+
 @dataclass(frozen=True)
 class EstimatedCorrelation:
     e_hat: float
@@ -196,26 +216,15 @@ class EstimatedCorrelation:
 
 
 def estimate_correlation(sample: EventSample, a: Direction, b: Direction) -> EstimatedCorrelation:
-    """Moment estimator 9 <(n_A.a)(n_B.b)>, unbiased for the channel correlation
-    at raw directions (a, b); standard error from the per-event sample spread."""
+    """Moment estimator 9 <(n_A.a)(n_B.b)> = w.mean(x), unbiased for the channel
+    correlation at raw directions (a, b); standard error from the event spread."""
     if sample.n_events < 100:
         raise ValueError(f"sample too small: {sample.n_events} events, need at least 100")
-    products = 9.0 * (sample.n_a @ a.as_array()) * (sample.n_b @ b.as_array())
-    return EstimatedCorrelation(e_hat=float(products.mean()),
-                                std_error=float(products.std(ddof=1) / math.sqrt(len(products))),
-                                n_used=len(products))
-
-
-def estimate_correlation_hemisphere(sample: EventSample, a: Direction,
-                                    b: Direction) -> EstimatedCorrelation:
-    """Hemisphere-sign estimator 4 <sign(n_A.a) sign(n_B.b)>: cross-check variant
-    using only the outcome hemispheres (higher variance than the moment form)."""
-    if sample.n_events < 100:
-        raise ValueError(f"sample too small: {sample.n_events} events, need at least 100")
-    products = 4.0 * np.sign(sample.n_a @ a.as_array()) * np.sign(sample.n_b @ b.as_array())
-    return EstimatedCorrelation(e_hat=float(products.mean()),
-                                std_error=float(products.std(ddof=1) / math.sqrt(len(products))),
-                                n_used=len(products))
+    count, mean, scatter = event_moments(sample)
+    w = 9.0 * np.outer(a.as_array(), b.as_array()).ravel()
+    return EstimatedCorrelation(e_hat=float(w @ mean),
+                                std_error=math.sqrt(w @ scatter @ w / ((count - 1) * count)),
+                                n_used=count)
 
 
 @dataclass(frozen=True)
@@ -227,36 +236,30 @@ class LeggettEstimate:
     method: str
 
 
-def _pair_sums(sample: EventSample, a: np.ndarray, b: Direction, b_prime: Direction) -> np.ndarray:
-    """Per event 9 (n_A.a)(n_B.b) + 9 (n_A.a)(n_B.b'); regrouping the products changes bits."""
-    moment_a = 9.0 * (sample.n_a @ a)
-    return moment_a * (sample.n_b @ b.as_array()) + moment_a * (sample.n_b @ b_prime.as_array())
-
-
 def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings) -> LeggettEstimate:
     """Sum-form left-hand side estimated from events, with its standard error.
 
-    Plugs the six moment-estimated correlations into the sum-form bound
-    expression, at A-side settings inverted by correlations.a_side_inversion
-    (the z flip for triplet samples), as the channel correlation takes them.
-    Errors propagate by the delta method through the absolute values; when any
-    pair sum sits within two standard errors of zero (where the delta method
-    degenerates) a seeded bootstrap over events is used instead.  Each of its
-    replicas draws n event indices with replacement, counts how often each
-    event was drawn, and takes the pair-sum means as ``counts @ per_event / n``.
+    Pair sum i is 9 (n_A.F a_i)(n_B.(b_i + b'_i)) = W_i.x, W_i = 9 vec((F a_i)(b_i + b'_i)^T),
+    F from correlations.a_side_inversion (the z flip for triplet samples), so the
+    means are W mean(x) and their covariance W S W^T / ((n-1) n), S the scatter of
+    event_moments.  Errors propagate by the delta method through the absolute
+    values; when any pair sum sits within two standard errors of zero (where the
+    delta method degenerates) a seeded parametric bootstrap draws 200 replicas of
+    the means from the normal law with that covariance instead.
     """
     if sample.n_events < 100:
         raise ValueError(f"sample too small: {sample.n_events} events, need at least 100")
     violations = validate_settings(settings)
     if violations:
         raise ValueError("invalid triple settings: " + "; ".join(violations))
+    count, mean, scatter = event_moments(sample)
 
-    inversion = a_side_inversion(sample.spin_state)
-    n = sample.n_events
-    per_event = np.column_stack([_pair_sums(sample, inversion * a.as_array(), b, bp)
-                                 for a, b, bp in zip(settings.a, settings.b, settings.b_prime)])
-    means = per_event.mean(axis=0)
-    cov = np.cov(per_event, rowvar=False) / n
+    a, b, b_prime = np.array([[d.as_array() for d in dirs]
+                              for dirs in (settings.a, settings.b, settings.b_prime)])
+    a *= a_side_inversion(sample.spin_state)
+    weights = 9.0 * (a[:, :, None] * (b + b_prime)[:, None, :]).reshape(3, 9)
+    means = weights @ mean
+    cov = weights @ scatter @ weights.T / ((count - 1) * count)
     se_means = np.sqrt(np.diag(cov))
 
     lhs_hat = leggett_sum_value(means, sample.alpha_b, settings.phi)
@@ -266,12 +269,10 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings) -> Legge
         std_error = float(math.sqrt(grad @ cov @ grad))
         method = "delta"
     else:
-        # Bootstrap keyed off the sample seed so reruns match exactly.
+        # Keyed off the sample seed so reruns match exactly; "eigh" also takes a
+        # singular covariance, such as the zero one when every b_i + b'_i vanishes.
         rng = _generator(sample.seed ^ 0x626F6F74)
-        replica_means = np.empty((_BOOTSTRAP_REPLICAS, 3))
-        for r in range(_BOOTSTRAP_REPLICAS):
-            counts = np.bincount(rng.integers(0, n, n), minlength=n)
-            replica_means[r] = counts @ per_event / n
+        replica_means = rng.multivariate_normal(means, cov, _BOOTSTRAP_REPLICAS, method="eigh")
         replicas = leggett_sum_value(replica_means, sample.alpha_b, settings.phi)
         std_error = float(replicas.std(ddof=1))
         method = "bootstrap"
@@ -295,8 +296,8 @@ def save_events(path: str | Path, sample: EventSample) -> None:
 def write_row_blocks(fh: TextIO, row_format: str, columns: Sequence[np.ndarray]) -> None:
     """Write the rows of ``columns`` ((N,) or (N, k) arrays, stacked as floats)
     as ``row_format % row``, one ``%`` per block, never holding the whole text."""
-    for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-        block = np.column_stack([col[start:start + _WRITE_BLOCK_ROWS] for col in columns])
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
         fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 

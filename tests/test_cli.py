@@ -7,7 +7,7 @@ import pytest
 
 from hyperon_leggett.cli import ScanResult, main
 from hyperon_leggett.inequalities import leggett_max_lhs, leggett_violation_condition
-from hyperon_leggett.simulation import _WRITE_BLOCK_ROWS
+from hyperon_leggett.simulation import _BLOCK_ROWS
 
 
 def run(args, capsys):
@@ -160,7 +160,7 @@ class TestScanRegion:
 
     def test_csv_bytes_across_block_boundary(self, capsys):
         steps = 65
-        assert _WRITE_BLOCK_ROWS < steps * steps and (steps * steps) % _WRITE_BLOCK_ROWS
+        assert _BLOCK_ROWS < steps * steps and (steps * steps) % _BLOCK_ROWS
         code, out, _ = run(["scan-region", "--steps", str(steps)], capsys)
         assert code == 0
         data_rows = [l for l in out.splitlines() if not l.startswith("#")][1:]

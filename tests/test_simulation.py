@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hyperon_leggett import (DecayMode, ProductionChannel,
                              X_AXIS, Z_AXIS, build_settings,
                              estimate_correlation, estimate_leggett_lhs,
                              leggett_max_lhs, load_events, optimal_phi,
-                             sample_pair_decay, sample_single_decay, save_events)
+                             sample_pair_decay, save_events,
+                             symmetric_alpha_threshold)
 from hyperon_leggett.catalog import channel_correlation
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
-from hyperon_leggett.simulation import (EventSample, _generator, _random_unit,
-                                        _sample_about_axes, _sample_cosines,
-                                        estimate_correlation_hemisphere,
+from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _generator,
+                                        _random_unit, _sample_about_axes,
+                                        _sample_cosines, event_moments,
                                         sample_single_decays,
                                         spin_correlation_matrix)
 
@@ -41,13 +43,14 @@ class TestSpinCorrelationMatrix:
 
 class TestSingleDecay:
     def test_determinism_and_unit_norm(self):
-        d1 = sample_single_decay(Z_AXIS, 0.7, seed=5)
-        d2 = sample_single_decay(Z_AXIS, 0.7, seed=5)
-        assert (d1.x, d1.y, d1.z) == (d2.x, d2.y, d2.z)
+        d1 = sample_single_decays(Z_AXIS, 0.7, 1000, seed=5)
+        d2 = sample_single_decays(Z_AXIS, 0.7, 1000, seed=5)
+        assert np.array_equal(d1, d2)
+        assert np.max(np.abs(np.linalg.norm(d1, axis=1) - 1.0)) <= 1e-15
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
-            sample_single_decay(Z_AXIS, 1.2, seed=0)
+            sample_single_decays(Z_AXIS, 1.2, 10, seed=0)
 
     def test_isotropic_limit(self):
         n = sample_single_decays(Z_AXIS, 0.0, 100_000, seed=11)
@@ -156,6 +159,20 @@ class TestPairDecay:
         assert np.array_equal(sample.n_b, n_b)
 
 
+class TestEventMoments:
+    def test_matches_per_event_products(self):
+        # Two full blocks and a short one, so every merge step runs.
+        n = 2 * _BLOCK_ROWS + 3
+        sample = sample_pair_decay(SIGMA_LIKE, n, seed=61)
+        products = np.einsum("ni,nj->nij", sample.n_a, sample.n_b).reshape(n, 9)
+        count, mean, scatter = event_moments(sample)
+        assert count == n
+        reference_scatter = np.cov(products, rowvar=False) * (n - 1)
+        scale = np.max(np.abs(reference_scatter))
+        assert np.max(np.abs(scatter - reference_scatter)) <= 1e-12 * scale
+        assert np.max(np.abs(mean - products.mean(axis=0))) <= 1e-12 * np.max(np.abs(mean))
+
+
 class TestEstimateCorrelation:
     def test_small_sample_rejected(self):
         sample = sample_pair_decay(SIGMA_LIKE, 200, seed=31)
@@ -189,14 +206,6 @@ class TestEstimateCorrelation:
         sample = sample_pair_decay(_channel(alpha_a=0.9, alpha_b=0.0), 50_000, seed=33)
         est = estimate_correlation(sample, Z_AXIS, Z_AXIS)
         assert abs(est.e_hat) < 5 * est.std_error
-
-    def test_hemisphere_cross_check(self):
-        sample = sample_pair_decay(SIGMA_LIKE, 200_000, seed=34)
-        moment = estimate_correlation(sample, Z_AXIS, Z_AXIS)
-        hemi = estimate_correlation_hemisphere(sample, Z_AXIS, Z_AXIS)
-        joint = math.hypot(moment.std_error, hemi.std_error)
-        assert abs(moment.e_hat - hemi.e_hat) < 5 * joint
-        assert hemi.std_error > moment.std_error  # the sign estimator is noisier
 
     def test_error_scales_as_inverse_sqrt_n(self):
         small = sample_pair_decay(SIGMA_LIKE, 10_000, seed=35)
@@ -236,15 +245,18 @@ class TestEstimateLeggett:
         sample = sample_pair_decay(_channel(alpha_a=0.9, alpha_b=0.0), 5_000, seed=43)
         settings = build_settings(1.0)
         est = estimate_leggett_lhs(sample, settings)
-        # Reference: replicas from the gathered event rows, same Philox key.
+        # Reference: parametric replicas from the per-event pair sums' means and
+        # covariance, drawn from the same Philox key.
         per_event = np.column_stack([
             9.0 * (sample.n_a @ a.as_array()) * (sample.n_b @ (b.as_array() + bp.as_array()))
             for a, b, bp in zip(settings.a, settings.b, settings.b_prime)])
         rng = _generator(43 ^ 0x626F6F74)
-        replicas = [np.sum(np.abs(per_event[rng.integers(0, 5_000, 5_000)].mean(axis=0))) / 3.0
-                    for _ in range(200)]
+        replicas = rng.multivariate_normal(per_event.mean(axis=0),
+                                           np.cov(per_event, rowvar=False) / 5_000, 200,
+                                           method="eigh")
+        spread = float(np.std(np.sum(np.abs(replicas), axis=1) / 3.0, ddof=1))
         assert est.method == "bootstrap"
-        assert est.std_error == pytest.approx(float(np.std(replicas, ddof=1)), rel=1e-12)
+        assert est.std_error == pytest.approx(spread, rel=1e-12)
 
     def test_bootstrap_is_reproducible(self):
         sample = sample_pair_decay(_channel(alpha_a=0.9, alpha_b=0.0), 5_000, seed=43)
@@ -256,19 +268,25 @@ class TestEstimateLeggett:
     @pytest.mark.parametrize("mother", ["eta_c", "chi_c0"])
     def test_e_sums_bit_for_bit(self, rng, mother):
         # A rotated frame puts three non-zero terms in every dot product, so a
-        # regrouped product (a matrix-matrix product, or n_b.(b + b')) shows.
+        # missing triplet flip or a regrouped weight shows.
         rotation = random_rotation(rng)
         settings = build_settings(1.1, frame=tuple(rotated(rotation, d) for d in DEFAULT_FRAME),
                                   axes=tuple(rotated(rotation, d) for d in DEFAULT_AXES))
         sample = sample_pair_decay(_channel(-0.98, 0.98, mother), 20_000, seed=45)
         flip = np.array([1.0, 1.0, -1.0 if mother == "chi_c0" else 1.0])
-        columns = []
-        for a, b, bp in zip(settings.a, settings.b, settings.b_prime):
-            moment_a = 9.0 * (sample.n_a @ (flip * a.as_array()))
-            columns.append(moment_a * (sample.n_b @ b.as_array())
-                           + moment_a * (sample.n_b @ bp.as_array()))
-        reference = np.column_stack(columns).mean(axis=0)
-        assert estimate_leggett_lhs(sample, settings).e_sums == tuple(reference.tolist())
+        directions = list(zip(settings.a, settings.b, settings.b_prime))
+        # W x-bar, with the rows of W from per-direction outer products.
+        weights = np.array([9.0 * np.outer(flip * a.as_array(),
+                                           b.as_array() + bp.as_array()).ravel()
+                            for a, b, bp in directions])
+        e_sums = estimate_leggett_lhs(sample, settings).e_sums
+        assert e_sums == tuple((weights @ event_moments(sample)[1]).tolist())
+        # The per-event form: column means of the pair sums.
+        columns = [9.0 * (sample.n_a @ (flip * a.as_array())) * (sample.n_b @ b.as_array())
+                   + 9.0 * (sample.n_a @ (flip * a.as_array())) * (sample.n_b @ bp.as_array())
+                   for a, b, bp in directions]
+        per_event = np.column_stack(columns).mean(axis=0)
+        assert np.allclose(e_sums, per_event, rtol=1e-12, atol=0.0)
 
     def test_invalid_settings_rejected(self):
         sample = sample_pair_decay(SIGMA_LIKE, 1000, seed=44)
@@ -276,6 +294,53 @@ class TestEstimateLeggett:
         tampered = TripleSettings(phi=1.4, a=s.a, b=s.b, b_prime=s.b_prime)
         with pytest.raises(ValueError, match="invalid triple settings"):
             estimate_leggett_lhs(sample, tampered)
+
+
+class TestCalibration:
+    """Pseudo-experiments: the spread of lhs_hat over seeded samples against the
+    mean reported std_error, on both error paths.
+
+    With K = 400 experiments the ratio spread / mean(std_error) has a sampling
+    sd of about 1/sqrt(2K) = 0.035 (0.030 at alpha_b = 0, measured on 2000
+    repeats of the normal model below), so a band of +-0.12 around the
+    expected ratio is 3.4 to 4 sd.  A std_error reported 20 % low multiplies
+    either ratio by 1.25, which moves it by +0.2 or more, out of its band.
+    """
+
+    K = 400
+    N_EVENTS = 2_000
+
+    def _experiments(self, alpha_b):
+        alpha = symmetric_alpha_threshold()
+        channel = _channel(alpha, alpha_b)
+        settings = build_settings(optimal_phi(alpha))
+        estimates = [estimate_leggett_lhs(sample_pair_decay(channel, self.N_EVENTS, seed), settings)
+                     for seed in range(7000, 7000 + self.K)]
+        lhs = np.array([e.lhs_hat for e in estimates])
+        std_error = np.array([e.std_error for e in estimates])
+        return lhs, std_error, {e.method for e in estimates}
+
+    def test_threshold_delta_path(self):
+        # At the symmetric threshold max_lhs is exactly 2: the null hypothesis of
+        # the headline test.  Every pair sum is ~14 sd from zero, so the delta
+        # method applies and the pulls (lhs_hat - 2)/std_error are N(0, 1).
+        lhs, std_error, methods = self._experiments(symmetric_alpha_threshold())
+        assert methods == {"delta"}
+        assert 0.88 <= lhs.std(ddof=1) / std_error.mean() <= 1.12
+        pulls = (lhs - 2.0) / std_error
+        assert stats.kstest(pulls, "norm").pvalue > 0.01
+        # P(pull > 3) = 0.135 %: 0.54 expected in 400; P(5 or more) is 3e-4.
+        assert np.sum(pulls > 3.0) <= 4
+
+    def test_zero_pair_sums_bootstrap_path(self):
+        # alpha_b = 0: the three pair-sum means S_i are independent N(0, s^2), so
+        # sd(lhs_hat) = s sqrt(3 (1 - 2/pi))/3 = 0.348 s.  The bootstrap replicas
+        # fold N(S_i, s^2), of variance S_i^2 + s^2 - (E|N(S_i, s^2)|)^2; averaged
+        # over S_i their sd is 0.431 s, so the expected ratio is 0.807: near zero
+        # the reported std_error errs on the conservative side.
+        lhs, std_error, methods = self._experiments(0.0)
+        assert methods == {"bootstrap"}
+        assert 0.807 - 0.12 <= lhs.std(ddof=1) / std_error.mean() <= 0.807 + 0.12
 
 
 class TestEventFile:
@@ -291,6 +356,22 @@ class TestEventFile:
         assert loaded.spin_state == "singlet"
         assert loaded.catalog_sha256 == "abc123"
         assert loaded.generator == sample.generator
+
+    def test_load_holds_the_rows_once(self, tmp_path):
+        # The loaded (n, 6) rows are the only copy: n_a and n_b view them.
+        # np.loadtxt's parsing adds about a third of the data on top, and a
+        # second copy of the rows would take the peak past twice the data.
+        n = 20_000
+        path = tmp_path / "events.txt"
+        save_events(path, sample_pair_decay(SIGMA_LIKE, n, seed=56))
+        tracemalloc.start()
+        try:
+            loaded = load_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.n_events == n
+        assert peak <= 1.75 * n * 6 * 8
 
     def test_save_is_deterministic(self, tmp_path):
         sample = sample_pair_decay(SIGMA_LIKE, 200, seed=52)
