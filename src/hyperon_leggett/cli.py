@@ -31,9 +31,9 @@ from .correlations import (correlation_singlet, correlation_triplet_m0,
                            correlation_via_operators, joint_prob_matrix,
                            joint_prob_singlet, pair_correlation)
 from .geometry import build_settings, load_settings, settings_arrays, validate_settings
-from .inequalities import (InequalityReport, leggett_max_lhs, leggett_sum_curve,
-                           leggett_sum_lhs, leggett_sum_value, leggett_violation_condition,
-                           optimal_phi, symmetric_alpha_threshold)
+from .inequalities import (leggett_max_lhs, leggett_sum_curve, leggett_sum_lhs,
+                           leggett_sum_value, leggett_violation_condition, optimal_phi,
+                           symmetric_alpha_threshold)
 from .povm import MeasurementParams
 from .quantum import Direction, singlet_state, triplet_m0_state
 from .simulation import (estimate_leggett_lhs, event_moments, sample_pair_decay,
@@ -118,21 +118,13 @@ def _resolve_channel(args: argparse.Namespace) -> ResolvedChannel:
                            catalog_path=catalog_str, catalog_sha=sha)
 
 
-def _leggett_report_at(settings, spin_state: str, pa: MeasurementParams,
-                       pb: MeasurementParams) -> InequalityReport:
-    a, b, b_prime = np.array([[d.as_array() for d in dirs]
-                              for dirs in (settings.a, settings.b, settings.b_prime)])
-    e = pair_correlation(spin_state, pa, a, pb, b).tolist()
-    ep = pair_correlation(spin_state, pa, a, pb, b_prime).tolist()
-    return leggett_sum_lhs(settings, list(zip(e, ep)), alpha_b=pb.alpha)
-
-
-def _lhs_over_phi(phis: np.ndarray, spin_state: str, pa: MeasurementParams,
-                  pb: MeasurementParams) -> np.ndarray:
-    """Sum-form left-hand side of the built-in construction at every phi, in one pass."""
-    a, b, b_prime = settings_arrays(phis)
-    return leggett_sum_value(pair_correlation(spin_state, pa, a, pb, b)
-                             + pair_correlation(spin_state, pa, a, pb, b_prime), pb.alpha, phis)
+def _closed_form_pairs(spin_state: str, pa: MeasurementParams, pb: MeasurementParams,
+                       a: np.ndarray, b: np.ndarray, b_prime: np.ndarray,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (E(a_i, b_i), E(a_i, b_i')) at (..., 3, 3) settings arrays, each of
+    shape (..., 3); ``a`` is taken as inverted, as in catalog.channel_correlation."""
+    return (pair_correlation(spin_state, pa, a, pb, b),
+            pair_correlation(spin_state, pa, a, pb, b_prime))
 
 
 def _resolve_settings(args: argparse.Namespace, alpha_a: float):
@@ -173,8 +165,10 @@ def _emit_csv(result: ScanResult, header_order: Sequence[str], out: str | None) 
 def cmd_predict(args: argparse.Namespace, argv: Sequence[str]) -> int:
     resolved = _resolve_channel(args)
     settings = _resolve_settings(args, resolved.pa.alpha)
-    report = _leggett_report_at(settings, resolved.channel.spin_state,
-                                resolved.pa, resolved.pb)
+    e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa, resolved.pb,
+                                    settings.a, settings.b, settings.b_prime)
+    report = leggett_sum_lhs(settings, list(zip(e.tolist(), e_prime.tolist())),
+                             alpha_b=resolved.pb.alpha)
     phi_star = optimal_phi(resolved.pa.alpha)
     max_lhs = leggett_max_lhs(resolved.pa.alpha, resolved.pb.alpha)
     payload = _metadata(argv, {
@@ -199,7 +193,9 @@ def cmd_scan_phi(args: argparse.Namespace, argv: Sequence[str]) -> int:
     resolved = _resolve_channel(args)
     phis = np.linspace(math.radians(args.phi_min_deg),
                        math.radians(args.phi_max_deg), args.steps)
-    lhs = _lhs_over_phi(phis, resolved.channel.spin_state, resolved.pa, resolved.pb)
+    e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa, resolved.pb,
+                                    *settings_arrays(phis))
+    lhs = leggett_sum_value(e + e_prime, resolved.pb.alpha, phis)
     result = ScanResult(
         axes=("phi_rad",),
         columns={
@@ -252,11 +248,12 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     sample = sample_pair_decay(resolved.channel, args.events, args.seed,
                                catalog_sha256=resolved.catalog_sha)
     estimate = estimate_leggett_lhs(sample, settings)
-    if estimate.std_error == 0.0:
+    # A few ulps of lhs_hat is rounding, as when b_i' = -b_i to rounding at alpha_a = 0.
+    if estimate.std_error <= 8.0 * np.spacing(abs(estimate.lhs_hat)):
         raise ValueError("the estimate has zero standard error (every event gives the same "
                          "pair sums at these settings), so its significance is undefined")
-    reference = _leggett_report_at(settings, resolved.channel.spin_state,
-                                   resolved.pa, resolved.pb)
+    e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa, resolved.pb,
+                                    settings.a, settings.b, settings.b_prime)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -280,7 +277,7 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
         "e_sums": list(estimate.e_sums),
         "e_sum_errors": list(estimate.e_sum_errors),
         "bound": 2.0,
-        "closed_form_lhs": reference.lhs,
+        "closed_form_lhs": leggett_sum_value(e + e_prime, resolved.pb.alpha, settings.phi),
         "significance": significance,
         "sigma_threshold": args.sigma_threshold,
         "violation_observed": violation,
@@ -371,12 +368,13 @@ def _run_checks(seed: int, trials: int, negative_control: bool) -> list[tuple[st
     invalid = [phi for phi in phis if validate_settings(build_settings(float(phi)))]
     results.append(("geometry: construction passes validation on phi grid",
                     not invalid, "100 points"))
-    _, b, b_prime = settings_arrays(phis)
+    a, b, b_prime = settings_arrays(phis)
     length = np.linalg.norm(b - b_prime, axis=-1)
     record("geometry: |b - b'| = 2 sin(phi/2)",
            float(np.max(np.abs(length - 2.0 * np.sin(0.5 * phis)[:, None]))), 1e-12)
     unsharp = MeasurementParams.unsharp(0.98)
-    curve = _lhs_over_phi(phis, "singlet", unsharp, unsharp)
+    e, e_prime = _closed_form_pairs("singlet", unsharp, unsharp, a, b, b_prime)
+    curve = leggett_sum_value(e + e_prime, unsharp.alpha, phis)
     record("pair-state curve vs settings path",
            float(np.max(np.abs(curve - leggett_sum_curve(phis, 0.98, 0.98)))), 1e-12)
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .povm import MeasurementParams, povm_element
-from .quantum import (ATOL, Direction, TwoQubitState, expectation, singlet_state,
-                      tensor, triplet_m0_state)
+from .quantum import (ATOL, Direction, TwoQubitState, expectation, row_dot,
+                      singlet_state, tensor, triplet_m0_state)
 
 # Each pair state: its density matrix and the diagonal of its spin-correlation
 # matrix C_ij = <sigma_i (x) sigma_j>, which is diagonal for both states.
@@ -116,11 +116,10 @@ def pair_correlation(spin_state: str, pa: MeasurementParams, a, pb: MeasurementP
     singlet: eta_a*eta_b - alpha_a*alpha_b*(a.b).  triplet_m0 (unbiased only):
     +alpha_a*alpha_b*(a.b), i.e. alpha_a*alpha_b*(a_x b_x + a_y b_y - a_z b_z)
     at the raw A direction: the same magnitude, so every bound is identical;
-    the relative sign is exposed as is.  The dot product is written out because
-    a matrix product differs from the scalar one in the last bit.
+    the relative sign is exposed as is.
     """
     c_xx = spin_correlation_diagonal(spin_state)[0]
-    a_dot_b = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    a_dot_b = row_dot(a, b)
     if spin_state == "singlet":
         return pa.eta * pb.eta + c_xx * pa.alpha * pb.alpha * a_dot_b
     if pa.eta != 0.0 or pb.eta != 0.0:

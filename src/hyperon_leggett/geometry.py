@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quantum import Direction, X_AXIS, Y_AXIS, Z_AXIS
+from .quantum import ATOL, Direction, X_AXIS, Y_AXIS, Z_AXIS, row_dot
 
 GEOM_TOL = 1e-10
 
@@ -35,26 +35,32 @@ DEFAULT_FRAME = (Z_AXIS, X_AXIS, Y_AXIS)
 DEFAULT_AXES = (X_AXIS, Y_AXIS, Z_AXIS)
 
 _SETTINGS_FORMAT = "triple-settings 1"
+_VECTOR_NAMES = ("a", "b", "b_prime")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripleSettings:
-    """Nine unit vectors (a_i, b_i, b_i') plus the pair opening angle phi (radians)."""
+    """The pair opening angle phi (radians) and three read-only (3, 3) arrays
+    a, b and b_prime, row i the unit vector a_i, b_i or b_i'."""
 
     phi: float
-    a: tuple[Direction, Direction, Direction]
-    b: tuple[Direction, Direction, Direction]
-    b_prime: tuple[Direction, Direction, Direction]
+    a: np.ndarray
+    b: np.ndarray
+    b_prime: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phi", float(self.phi))
         if not -GEOM_TOL <= self.phi <= math.pi + GEOM_TOL:
             raise ValueError(f"phi must lie in [0, pi], got {self.phi!r}")
-        for name in ("a", "b", "b_prime"):
-            vecs = tuple(getattr(self, name))
-            if len(vecs) != 3 or not all(isinstance(v, Direction) for v in vecs):
-                raise ValueError(f"{name} must be three Direction values")
-            object.__setattr__(self, name, vecs)
+        for name in _VECTOR_NAMES:
+            rows = np.array(getattr(self, name), dtype=float)
+            if rows.shape != (3, 3):
+                raise ValueError(f"{name} must be a (3, 3) array, one unit vector per row")
+            for i, norm_sq in enumerate(row_dot(rows, rows).tolist(), start=1):
+                if not abs(norm_sq - 1.0) <= ATOL:  # also refuses NaN
+                    raise ValueError(f"{name}{i} must be unit length, got |v|^2 = {norm_sq!r}")
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
 
 
 def build_settings(phi: float,
@@ -81,11 +87,7 @@ def build_settings(phi: float,
         if abs(axes[i].dot(frame[i])) > GEOM_TOL:
             raise ValueError(
                 f"axis a_{i+1} must be orthogonal to e_{i+1}, got a.e = {axes[i].dot(frame[i]):.3e}")
-
-    _, b, b_prime = settings_arrays(phi, frame, axes)
-    return TripleSettings(phi=phi, a=axes,
-                          b=tuple(Direction(*row) for row in b.tolist()),
-                          b_prime=tuple(Direction(*row) for row in b_prime.tolist()))
+    return TripleSettings(phi, *settings_arrays(phi, frame, axes))
 
 
 def settings_arrays(phi, frame: tuple[Direction, Direction, Direction] = DEFAULT_FRAME,
@@ -101,63 +103,46 @@ def settings_arrays(phi, frame: tuple[Direction, Direction, Direction] = DEFAULT
     return np.broadcast_to(a, b.shape), b, b_prime
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(row_dot(v, v))
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    v /= np.sqrt(x * x + y * y + z * z)[..., None]  # in place: callers pass a temporary
+    v /= _norm(v)[..., None]  # in place: callers pass a temporary
     return v
 
 
-def _angle_between(u: Direction, v: Direction) -> float:
-    cx = u.y * v.z - u.z * v.y
-    cy = u.z * v.x - u.x * v.z
-    cz = u.x * v.y - u.y * v.x
-    return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), u.dot(v))
+def _pair_dots(v: np.ndarray) -> np.ndarray:
+    """|v_i . v_j| for the row pairs (1, 2), (1, 3) and (2, 3)."""
+    return np.abs(row_dot(v[[0, 0, 1]], v[[1, 2, 2]]))
+
+
+def _report(name: str, quantity: str, residuals: np.ndarray,
+            pairwise: bool = False) -> list[str]:
+    """One message per residual above GEOM_TOL, labelled by row or by row pair."""
+    labels = ("1,2", "1,3", "2,3") if pairwise else ("1", "2", "3")
+    return [f"{name}[{label}]: {quantity} residual {r:.3e}"
+            for label, r in zip(labels, residuals.tolist()) if r > GEOM_TOL]
 
 
 def validate_settings(settings: TripleSettings) -> list[str]:
     """Check every construction invariant; return one message per violation.
 
     An empty list means the settings form a valid triple-measurement layout.
-    Each message names the invariant and quotes its residual.
+    Each message names the invariant and quotes its residual.  Unit length is
+    checked by TripleSettings itself.
     """
-    violations: list[str] = []
-    for name in ("a", "b", "b_prime"):
-        for i, v in enumerate(getattr(settings, name), start=1):
-            residual = abs(v.x * v.x + v.y * v.y + v.z * v.z - 1.0)
-            if residual > 1e-12:
-                violations.append(f"unit[{name}{i}]: |v|^2 - 1 residual {residual:.3e}")
-
-    for i in range(3):
-        angle = _angle_between(settings.b[i], settings.b_prime[i])
-        residual = abs(angle - settings.phi)
-        if residual > GEOM_TOL:
-            violations.append(f"pair_angle[{i+1}]: |angle - phi| residual {residual:.3e}")
-
-    for i in range(3):
-        bi, bpi, ai = settings.b[i], settings.b_prime[i], settings.a[i]
-        sx, sy, sz = bi.x + bpi.x, bi.y + bpi.y, bi.z + bpi.z
-        norm = math.sqrt(sx * sx + sy * sy + sz * sz)
-        if norm < 1e-8:
-            continue  # antipodal pair: every axis bisects
-        residual = math.sqrt((sx / norm - ai.x) ** 2
-                             + (sy / norm - ai.y) ** 2
-                             + (sz / norm - ai.z) ** 2)
-        if residual > GEOM_TOL:
-            violations.append(f"bisection[{i+1}]: |(b+b')/|b+b'| - a| residual {residual:.3e}")
-
-    diffs = [(settings.b[i].x - settings.b_prime[i].x,
-              settings.b[i].y - settings.b_prime[i].y,
-              settings.b[i].z - settings.b_prime[i].z) for i in range(3)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            residual = abs(diffs[i][0] * diffs[j][0]
-                           + diffs[i][1] * diffs[j][1]
-                           + diffs[i][2] * diffs[j][2])
-            if residual > GEOM_TOL:
-                violations.append(
-                    f"difference_orthogonality[{i+1},{j+1}]: |(b_i-b_i').(b_j-b_j')| "
-                    f"residual {residual:.3e}")
-    return violations
+    b, b_prime = settings.b, settings.b_prime
+    angle = np.arctan2(_norm(np.cross(b, b_prime)), row_dot(b, b_prime))
+    sums, diffs = b + b_prime, b - b_prime
+    norm = _norm(sums)
+    # An antipodal pair (|b + b'| < 1e-8) is bisected by every axis.
+    bisection = np.where(norm < 1e-8, 0.0,
+                         _norm(sums / np.maximum(norm, 1e-8)[:, None] - settings.a))
+    return (_report("pair_angle", "|angle - phi|", np.abs(angle - settings.phi))
+            + _report("bisection", "|(b+b')/|b+b'| - a|", bisection)
+            + _report("difference_orthogonality", "|(b_i-b_i').(b_j-b_j')|",
+                      _pair_dots(diffs), pairwise=True))
 
 
 def validate_flipped_settings(settings: TripleSettings) -> list[str]:
@@ -167,26 +152,11 @@ def validate_flipped_settings(settings: TripleSettings) -> list[str]:
     length 2 cos(phi/2), which is what flip_b_prime produces from a valid
     triple-measurement layout.
     """
-    violations: list[str] = []
-    sums = [(settings.b[i].x + settings.b_prime[i].x,
-             settings.b[i].y + settings.b_prime[i].y,
-             settings.b[i].z + settings.b_prime[i].z) for i in range(3)]
+    sums = settings.b + settings.b_prime
     expected = 2.0 * abs(math.cos(0.5 * settings.phi))
-    for i in range(3):
-        norm = math.sqrt(sums[i][0] ** 2 + sums[i][1] ** 2 + sums[i][2] ** 2)
-        residual = abs(norm - expected)
-        if residual > GEOM_TOL:
-            violations.append(
-                f"sum_length[{i+1}]: ||b+b'| - 2cos(phi/2)| residual {residual:.3e}")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            residual = abs(sums[i][0] * sums[j][0] + sums[i][1] * sums[j][1]
-                           + sums[i][2] * sums[j][2])
-            if residual > GEOM_TOL:
-                violations.append(
-                    f"sum_orthogonality[{i+1},{j+1}]: |(b_i+b_i').(b_j+b_j')| "
-                    f"residual {residual:.3e}")
-    return violations
+    return (_report("sum_length", "||b+b'| - 2cos(phi/2)|", np.abs(_norm(sums) - expected))
+            + _report("sum_orthogonality", "|(b_i+b_i').(b_j+b_j')|",
+                      _pair_dots(sums), pairwise=True))
 
 
 def flip_b_prime(settings: TripleSettings) -> TripleSettings:
@@ -197,24 +167,22 @@ def flip_b_prime(settings: TripleSettings) -> TripleSettings:
     (so validate_settings reports that), but its sum vectors b_i + b_i' are
     mutually orthogonal with length 2 cos(phi/2), which is the layout the
     difference-form bound needs; see validate_flipped_settings.  Applying the
-    flip twice returns the original layout.
+    flip twice returns the original arrays.
     """
-    return TripleSettings(phi=math.pi - settings.phi,
-                          a=settings.a,
-                          b=settings.b,
-                          b_prime=tuple(-bp for bp in settings.b_prime))
+    return TripleSettings(math.pi - settings.phi, settings.a, settings.b, -settings.b_prime)
 
 
 def settings_to_text(settings: TripleSettings) -> str:
     """Serialize to the plain-text settings format (round-trips exactly)."""
     lines = [f"# {_SETTINGS_FORMAT}", f"phi {settings.phi!r}"]
-    for label, vecs in (("a", settings.a), ("b", settings.b), ("b_prime", settings.b_prime)):
-        for i, v in enumerate(vecs, start=1):
-            lines.append(f"{label}{i} {v.x!r} {v.y!r} {v.z!r}")
+    for name in _VECTOR_NAMES:
+        for i, (x, y, z) in enumerate(getattr(settings, name).tolist(), start=1):
+            lines.append(f"{name}{i} {x!r} {y!r} {z!r}")
     return "\n".join(lines) + "\n"
 
 
 def settings_from_text(text: str, source: str = "<string>") -> TripleSettings:
+    keys = ("phi", *(f"{name}{i}" for name in _VECTOR_NAMES for i in (1, 2, 3)))
     fields: dict[str, tuple[float, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -222,24 +190,22 @@ def settings_from_text(text: str, source: str = "<string>") -> TripleSettings:
             continue
         parts = line.split()
         key, values = parts[0], parts[1:]
+        if key not in keys or key in fields:
+            problem = "duplicate" if key in fields else "unknown"
+            raise ValueError(f"{source}:{lineno}: {problem} key {key!r}")
         try:
             fields[key] = tuple(float(v) for v in values)
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: bad number in {raw!r}") from exc
 
-    if "phi" not in fields or len(fields["phi"]) != 1:
-        raise ValueError(f"{source}: missing or malformed 'phi' entry")
-    vectors: dict[str, list[Direction]] = {"a": [], "b": [], "b_prime": []}
-    for label in ("a", "b", "b_prime"):
-        for i in (1, 2, 3):
-            key = f"{label}{i}"
-            if key not in fields or len(fields[key]) != 3:
-                raise ValueError(f"{source}: missing or malformed '{key}' entry")
-            vectors[label].append(Direction(*fields[key]))
-    return TripleSettings(phi=fields["phi"][0],
-                          a=tuple(vectors["a"]),
-                          b=tuple(vectors["b"]),
-                          b_prime=tuple(vectors["b_prime"]))
+    for key in keys:
+        if len(fields.get(key, ())) != (1 if key == "phi" else 3):
+            raise ValueError(f"{source}: missing or malformed {key!r} entry")
+    try:
+        return TripleSettings(fields["phi"][0], *(
+            [fields[f"{name}{i}"] for i in (1, 2, 3)] for name in _VECTOR_NAMES))
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def save_settings(path: str | Path, settings: TripleSettings) -> None:

@@ -14,7 +14,6 @@ Carlo estimates.  A violation is strict: margin > 0, no tolerance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -56,9 +55,6 @@ class InequalityReport:
             "settings_used": self.settings_used,
             "inputs": self.inputs,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _check_probability(name: str, p: float) -> float:

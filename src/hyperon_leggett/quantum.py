@@ -40,7 +40,7 @@ class Direction:
         for name in ("x", "y", "z"):
             object.__setattr__(self, name, float(getattr(self, name)))
         norm_sq = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(norm_sq - 1.0) > ATOL:
+        if not abs(norm_sq - 1.0) <= ATOL:  # also refuses NaN
             raise ValueError(f"direction must be unit length, got |v|^2 = {norm_sq!r}")
 
     @classmethod
@@ -50,20 +50,17 @@ class Direction:
             raise ValueError("cannot normalize the zero vector")
         return cls(x / norm, y / norm, z / norm)
 
-    @classmethod
-    def from_polar(cls, theta: float, phi: float = 0.0) -> "Direction":
-        """Direction at polar angle theta from +z, azimuth phi from +x (radians)."""
-        s = math.sin(theta)
-        return cls.normalized(s * math.cos(phi), s * math.sin(phi), math.cos(theta))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
     def dot(self, other: "Direction") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def __neg__(self) -> "Direction":
-        return Direction(-self.x, -self.y, -self.z)
+
+def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of (..., 3) direction arrays, written out so each rounds like
+    Direction.dot (a matrix product differs from it in the last bit)."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
 X_AXIS = Direction(1.0, 0.0, 0.0)

@@ -254,10 +254,8 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings) -> Legge
         raise ValueError("invalid triple settings: " + "; ".join(violations))
     count, mean, scatter = event_moments(sample)
 
-    a, b, b_prime = np.array([[d.as_array() for d in dirs]
-                              for dirs in (settings.a, settings.b, settings.b_prime)])
-    a *= a_side_inversion(sample.spin_state)
-    weights = 9.0 * (a[:, :, None] * (b + b_prime)[:, None, :]).reshape(3, 9)
+    a = settings.a * a_side_inversion(sample.spin_state)
+    weights = 9.0 * (a[:, :, None] * (settings.b + settings.b_prime)[:, None, :]).reshape(3, 9)
     means = weights @ mean
     cov = weights @ scatter @ weights.T / ((count - 1) * count)
     se_means = np.sqrt(np.diag(cov))

@@ -34,3 +34,9 @@ def random_rotation(rng) -> np.ndarray:
 def rotated(rotation: np.ndarray, d: Direction) -> Direction:
     x, y, z = rotation @ d.as_array()
     return Direction.normalized(x, y, z)
+
+
+def setting_directions(settings) -> list[tuple[Direction, Direction, Direction]]:
+    """(a_i, b_i, b_i') for each row i of the settings arrays, as Directions."""
+    return [tuple(Direction(*rows[i]) for rows in (settings.a, settings.b, settings.b_prime))
+            for i in range(3)]

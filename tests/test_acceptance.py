@@ -24,7 +24,7 @@ from hyperon_leggett.catalog import find_mode
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME
 from hyperon_leggett.inequalities import ch_povm_lhs, tsirelson_settings
 
-from conftest import random_direction, random_params
+from conftest import random_direction, random_params, setting_directions
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -49,9 +49,8 @@ def test_criterion_2_sigma_pair_violation():
     target = 2 * 0.98 * math.sqrt(0.98 ** 2 + 1.0 / 9.0)
     pa = MeasurementParams.unsharp(0.98)
     settings = build_settings(optimal_phi(0.98))
-    pairs = [(correlation_singlet(pa, settings.a[i], pa, settings.b[i]),
-              correlation_singlet(pa, settings.a[i], pa, settings.b_prime[i]))
-             for i in range(3)]
+    pairs = [(correlation_singlet(pa, a, pa, b), correlation_singlet(pa, a, pa, bp))
+             for a, b, bp in setting_directions(settings)]
     report = leggett_sum_lhs(settings, pairs, 0.98)
     closed = leggett_max_lhs(0.98, 0.98)
     ok = (abs(report.lhs - target) < 1e-9 and abs(closed - target) < 1e-9
@@ -78,9 +77,8 @@ def test_criterion_3_non_violating_catalog_modes():
         alpha_b = channel.mode_b.alpha
         for phi in phis:
             settings = build_settings(float(phi))
-            pairs = [(channel_correlation(channel, settings.a[i], settings.b[i]),
-                      channel_correlation(channel, settings.a[i], settings.b_prime[i]))
-                     for i in range(3)]
+            pairs = [(channel_correlation(channel, a, b), channel_correlation(channel, a, bp))
+                     for a, b, bp in setting_directions(settings)]
             lhs = leggett_sum_lhs(settings, pairs, alpha_b).lhs
             worst = max(worst, lhs)
             if lhs >= 2.0:
@@ -145,9 +143,8 @@ def test_criterion_6_triplet_reduction():
         settings = build_settings(float(phi))
         lhs = []
         for channel in (eta_c, chi_c0):
-            pairs = [(channel_correlation(channel, settings.a[i], settings.b[i]),
-                      channel_correlation(channel, settings.a[i], settings.b_prime[i]))
-                     for i in range(3)]
+            pairs = [(channel_correlation(channel, a, b), channel_correlation(channel, a, bp))
+                     for a, b, bp in setting_directions(settings)]
             lhs.append(leggett_sum_lhs(settings, pairs, alpha_b).lhs)
         worst = max(worst, abs(lhs[0] - lhs[1]))
     _report(6, worst < 1e-12,
@@ -167,10 +164,11 @@ def test_criterion_7_monte_carlo_closure():
     elapsed = time.perf_counter() - start
     deviation = abs(estimate.lhs_hat - target) / estimate.std_error
 
+    a1, b1, _ = setting_directions(settings)[0]
     se_small = estimate_correlation(
-        sample_pair_decay(channel, 10_000, seed=61), settings.a[0], settings.b[0]).std_error
+        sample_pair_decay(channel, 10_000, seed=61), a1, b1).std_error
     se_large = estimate_correlation(
-        sample_pair_decay(channel, 40_000, seed=62), settings.a[0], settings.b[0]).std_error
+        sample_pair_decay(channel, 40_000, seed=62), a1, b1).std_error
     ratio = se_small / se_large
 
     ok = deviation < 5.0 and abs(ratio - 2.0) < 0.2 and elapsed < 60.0
@@ -187,9 +185,7 @@ def test_criterion_8_geometry_suite():
         settings = build_settings(float(phi))
         clean &= validate_settings(settings) == []
         for i in range(3):
-            d = (settings.b[i].x - settings.b_prime[i].x,
-                 settings.b[i].y - settings.b_prime[i].y,
-                 settings.b[i].z - settings.b_prime[i].z)
+            d = (settings.b[i] - settings.b_prime[i]).tolist()
             length = math.sqrt(sum(x * x for x in d))
             worst_len = max(worst_len, abs(length - 2 * math.sin(phi / 2)))
     _report(8, clean and worst_len < 1e-12,

@@ -12,7 +12,7 @@ from hyperon_leggett.catalog import (CATALOG_ENV_VAR, catalog_sha256,
                                      parse_catalog, serialize_catalog)
 from hyperon_leggett.quantum import Z_AXIS
 
-from conftest import random_direction
+from conftest import random_direction, setting_directions
 
 
 @pytest.fixture
@@ -148,9 +148,8 @@ class TestChannelCorrelation:
             settings = build_settings(float(phi))
             reports = []
             for channel in (eta_c, chi_c0):
-                pairs = [(channel_correlation(channel, settings.a[i], settings.b[i]),
-                          channel_correlation(channel, settings.a[i], settings.b_prime[i]))
-                         for i in range(3)]
+                pairs = [(channel_correlation(channel, a, b), channel_correlation(channel, a, bp))
+                         for a, b, bp in setting_directions(settings)]
                 reports.append(leggett_sum_lhs(settings, pairs, alpha_b))
             assert abs(reports[0].lhs - reports[1].lhs) < 1e-12
 

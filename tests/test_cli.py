@@ -79,6 +79,18 @@ class TestPredict:
         assert code == 0
         assert json.loads(out)["phi_rad"] == pytest.approx(1.0)
 
+    def test_settings_file_with_duplicate_key_rejected(self, capsys, tmp_path):
+        from hyperon_leggett import build_settings
+        from hyperon_leggett.geometry import settings_to_text
+        text = settings_to_text(build_settings(1.0))
+        path = tmp_path / "settings.txt"
+        path.write_text(text + "b1 1.0 0.0 0.0\n", encoding="utf-8")
+        code, out, err = run(["predict", "--channel", "SigmaPlus",
+                              "--settings-file", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{path}:12: duplicate key 'b1'" in err
+
     def test_triplet_with_bias_rejected(self, capsys):
         code, _, err = run(["predict", "--channel", "SigmaPlus", "--mother", "chi_c0",
                             "--alpha-a", "0.5", "--eta-a", "0.1"], capsys)
@@ -236,10 +248,10 @@ class TestSimulate:
     def test_zero_standard_error_refused(self, capsys, tmp_path):
         # b_i = e_i and b_i' = -e_i (phi = pi) is a valid layout whose pair sums
         # vanish event by event, so the estimate has no spread at all.
-        from hyperon_leggett import X_AXIS, Y_AXIS, Z_AXIS, save_settings, validate_settings
+        from hyperon_leggett import save_settings, validate_settings
         from hyperon_leggett.geometry import TripleSettings
-        settings = TripleSettings(math.pi, (X_AXIS, Y_AXIS, Z_AXIS), (Z_AXIS, X_AXIS, Y_AXIS),
-                                  (-Z_AXIS, -X_AXIS, -Y_AXIS))
+        frame = np.eye(3)[[2, 0, 1]]  # e_1 = z, e_2 = x, e_3 = y
+        settings = TripleSettings(math.pi, np.eye(3), frame, -frame)
         assert validate_settings(settings) == []
         path = tmp_path / "settings.txt"
         save_settings(path, settings)
@@ -249,6 +261,25 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "zero standard error" in err
+
+    @pytest.mark.parametrize("mother", ["chi_c0", "eta_c"])
+    def test_rounding_level_standard_error_refused(self, capsys, tmp_path, mother):
+        # At alpha_a = 0 the optimum is phi = pi, where b_i' = -b_i only to
+        # rounding: the pair sums are rounding noise and std_error is one ulp
+        # of lhs_hat, which would give a significance of about -1e16.
+        code, out, err = run(["simulate", "--alpha-a", "0.0", "--alpha-b", "0.9",
+                              "--mother", mother, "--events", "20000", "--seed", "7",
+                              "--out", str(tmp_path / "run")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "zero standard error" in err
+
+    def test_small_alpha_a_still_estimated(self, capsys, tmp_path):
+        code, out, _ = run(["simulate", "--alpha-a", "0.001", "--alpha-b", "0.9",
+                            "--mother", "chi_c0", "--events", "20000", "--seed", "7",
+                            "--out", str(tmp_path / "run")], capsys)
+        assert code == 1
+        assert json.loads(out)["std_error"] > 1e-6
 
     def test_sigma_threshold_is_configurable(self, capsys, tmp_path):
         code, out, _ = run(["simulate", "--channel", "SigmaPlus", "--events", "2000",

@@ -207,7 +207,7 @@ class TestPairStateTable:
 
 class TestParityFlip:
     def test_examples(self):
-        assert parity_flip_z(Z_AXIS) == -Z_AXIS
+        assert parity_flip_z(Z_AXIS) == Direction(0.0, 0.0, -1.0)
         assert parity_flip_z(X_AXIS) == X_AXIS
         d = parity_flip_z(Direction(0.6, 0.0, 0.8))
         assert (d.x, d.y, d.z) == (0.6, 0.0, -0.8)

