@@ -128,13 +128,13 @@ def _closed_form_pairs(spin_state: str, pa: MeasurementParams, pb: MeasurementPa
 
 
 def _resolve_settings(args: argparse.Namespace, alpha_a: float):
-    if getattr(args, "settings_file", None):
+    if args.settings_file:
         settings = load_settings(args.settings_file)
         violations = validate_settings(settings)
         if violations:
             raise ValueError(f"{args.settings_file}: " + "; ".join(violations))
         return settings
-    if getattr(args, "phi_deg", None) is not None:
+    if args.phi_deg is not None:
         phi = math.radians(args.phi_deg)
     else:
         phi = optimal_phi(alpha_a)
@@ -239,6 +239,8 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.events < 100:
         raise ValueError("--events must be at least 100 for the estimators")
+    if not math.isfinite(args.sigma_threshold):
+        raise ValueError(f"--sigma-threshold must be finite, got {args.sigma_threshold!r}")
     resolved = _resolve_channel(args)
     if resolved.pa.eta != 0.0 or resolved.pb.eta != 0.0:
         raise ValueError("event simulation models unbiased decay measurements; "
@@ -417,12 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"decay catalog file (default: ${CATALOG_ENV_VAR} "
                             "or the packaged table)")
 
+    def add_settings_args(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--phi-deg", type=float, default=None,
+                           help="pair opening angle in degrees (default: the optimum)")
+        group.add_argument("--settings-file", default=None,
+                           help="settings file overriding the built-in construction")
+
     p_predict = sub.add_parser("predict", help="closed-form bound evaluation at one angle")
     add_channel_args(p_predict)
-    p_predict.add_argument("--phi-deg", type=float, default=None,
-                           help="pair opening angle in degrees (default: the optimum)")
-    p_predict.add_argument("--settings-file", default=None,
-                           help="settings file overriding the built-in construction")
+    add_settings_args(p_predict)
     p_predict.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_predict.set_defaults(func=cmd_predict)
 
@@ -446,10 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_channel_args(p_sim)
     p_sim.add_argument("--events", type=int, required=True, help="number of pair events")
     p_sim.add_argument("--seed", type=int, default=1, help="64-bit generator seed")
-    p_sim.add_argument("--phi-deg", type=float, default=None,
-                       help="pair opening angle in degrees (default: the optimum)")
-    p_sim.add_argument("--settings-file", default=None,
-                       help="settings file overriding the built-in construction")
+    add_settings_args(p_sim)
     p_sim.add_argument("--sigma-threshold", type=float, default=3.0,
                        help="significance (in standard errors) required to report "
                             "a violation (default 3)")

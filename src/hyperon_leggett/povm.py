@@ -42,8 +42,8 @@ class MeasurementParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if (abs(self.eta + self.alpha) > 1.0 + _PARAM_TOL
-                or abs(self.eta - self.alpha) > 1.0 + _PARAM_TOL):
+        if not (abs(self.eta + self.alpha) <= 1.0 + _PARAM_TOL
+                and abs(self.eta - self.alpha) <= 1.0 + _PARAM_TOL):  # also refuses NaN
             raise ValueError(
                 f"invalid measurement parameters eta={self.eta}, alpha={self.alpha}: "
                 "need |eta + alpha| <= 1 and |eta - alpha| <= 1")

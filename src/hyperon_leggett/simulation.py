@@ -3,17 +3,18 @@
 Sampling contract
 -----------------
 A polarized decay emits the daughter direction n with density
-``(1 + alpha u.n) / (4 pi)`` about the polarization u.  The cosine relative
-to u has a linear density, so it is drawn by closed-form inverse CDF; the
-azimuth is uniform.  For an entangled pair the joint density is
+``(1 + alpha u.n) / (4 pi)`` about the polarization u.  It is drawn exactly by a
+sign flip: an isotropic w is kept with probability p(w) = (1 + alpha u.w)/2 and
+reversed otherwise, so n has density [p(n) + 1 - p(-n)] / (4 pi), which is
+``(1 + alpha u.n) / (4 pi)``.  For an entangled pair the joint density is
 
     W(n_A, n_B) = (1/(4 pi)^2) * (1 + alpha_a alpha_b n_A^T C n_B)
 
 with C the 3x3 spin-correlation matrix of the pair state (diagonal; its
 diagonal per state is tabulated in correlations.PAIR_STATES).  n_A is drawn
-uniformly (its marginal is isotropic) and n_B from the conditional density
-about the axis C^T n_A, which is again linear in the cosine.  C is recomputed
-from the density matrix and checked before any event is drawn.
+uniformly (its marginal is isotropic) and n_B by the same flip about the axis
+C^T n_A with alpha_a alpha_b in place of alpha.  C is recomputed from the
+density matrix and checked before any event is drawn.
 
 Generation uses numpy's counter-based Philox stream ("philox4x64") keyed by a
 64-bit seed; a fixed seed reproduces samples bit for bit.
@@ -40,7 +41,7 @@ from .catalog import ProductionChannel, channel_spin_state
 from .correlations import a_side_inversion, spin_correlation_diagonal
 from .geometry import TripleSettings, validate_settings
 from .inequalities import leggett_sum_value
-from .quantum import PAULI, Direction, expectation, tensor
+from .quantum import PAULI, Direction, expectation, row_dot, tensor
 
 GENERATOR = "philox4x64"
 
@@ -75,38 +76,6 @@ def spin_correlation_matrix(channel: ProductionChannel) -> np.ndarray:
     return expected
 
 
-def _sample_cosines(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw from the linear density (1 + alpha*c)/2 on [-1, 1]."""
-    r = rng.random(n)
-    # (sqrt(D) - 1)/alpha with D = (1-alpha)^2 + 4 alpha r, rationalised so no
-    # digits cancel as alpha -> 0; at alpha = 0 it is exactly 2r - 1.
-    return (4.0 * r - 2.0 + alpha) / (np.sqrt((1.0 - alpha) ** 2 + 4.0 * alpha * r) + 1.0)
-
-
-def _orthonormal_complement(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    helper = np.zeros_like(axes)
-    use_x = np.abs(axes[:, 0]) < 0.9
-    helper[use_x, 0] = 1.0
-    helper[~use_x, 1] = 1.0
-    t1 = np.cross(axes, helper)
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(axes, t1)
-    return t1, t2
-
-
-def _sample_about_axes(axes: np.ndarray, alpha: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Directions with density (1 + alpha * axis.n)/(4 pi), one per axis row."""
-    n = axes.shape[0]
-    c = _sample_cosines(alpha, n, rng)
-    psi = 2.0 * math.pi * rng.random(n)
-    s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-    t1, t2 = _orthonormal_complement(axes)
-    return (c[:, None] * axes
-            + (s * np.cos(psi))[:, None] * t1
-            + (s * np.sin(psi))[:, None] * t2)
-
-
 def _random_unit(n: int, rng: np.random.Generator) -> np.ndarray:
     """Isotropic unit vectors: uniform cosine and azimuth, inverse-CDF style."""
     c = 2.0 * rng.random(n) - 1.0
@@ -115,13 +84,23 @@ def _random_unit(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([s * np.cos(psi), s * np.sin(psi), c])
 
 
+def _sample_about_axes(axes: np.ndarray, alpha: float,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Directions with density (1 + alpha * axis.n)/(4 pi), one per axis row: an
+    isotropic w, kept where a uniform falls below (1 + alpha * axis.w)/2 and
+    reversed elsewhere."""
+    w = _random_unit(axes.shape[0], rng)
+    flip = rng.random(axes.shape[0]) >= 0.5 * (1.0 + alpha * row_dot(axes, w))
+    return np.negative(w, out=w, where=flip[:, None])
+
+
 def sample_single_decays(u: Direction, alpha: float, n_events: int, seed: int) -> np.ndarray:
     """(n_events, 3) array of daughter directions from a polarized decay."""
     if not -1.0 <= alpha <= 1.0:
         raise ValueError(f"|alpha| must not exceed 1, got {alpha!r}")
     if n_events < 1:
         raise ValueError("n_events must be at least 1")
-    axes = np.broadcast_to(u.as_array(), (n_events, 3)).copy()
+    axes = np.broadcast_to(u.as_array(), (n_events, 3))
     return _sample_about_axes(axes, alpha, _generator(seed))
 
 

@@ -97,6 +97,22 @@ class TestPredict:
         assert code == 2
         assert "unbiased" in err
 
+    def test_non_finite_eta_rejected(self, capsys):
+        code, out, err = run(["predict", "--channel", "SigmaPlus", "--eta-a", "nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "invalid measurement parameters" in err
+
+    def test_phi_and_settings_file_are_exclusive(self, capsys, tmp_path):
+        from hyperon_leggett import build_settings, save_settings
+        path = tmp_path / "settings.txt"
+        save_settings(path, build_settings(1.0))
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--channel", "SigmaPlus", "--phi-deg", "30",
+                  "--settings-file", str(path)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestScanPhi:
     def test_violating_channel_curve(self, capsys):
@@ -139,6 +155,12 @@ class TestScanPhi:
         code, _, err = run(["scan-phi", "--channel", "SigmaPlus",
                             "--phi-min-deg", "0"], capsys)
         assert code == 2
+
+    def test_non_finite_eta_rejected(self, capsys):
+        code, out, err = run(["scan-phi", "--channel", "SigmaPlus", "--eta-a", "nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "invalid measurement parameters" in err
 
     def test_performance_budget(self, capsys):
         start = time.perf_counter()
@@ -287,6 +309,28 @@ class TestSimulate:
                             "--out", str(tmp_path / "run4")], capsys)
         assert code == 1
         assert json.loads(out)["violation_observed"] is False
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_sigma_threshold_refused(self, capsys, tmp_path, threshold):
+        out_dir = tmp_path / "run"
+        code, out, err = run(["simulate", "--channel", "SigmaPlus", "--events", "2000",
+                              f"--sigma-threshold={threshold}", "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--sigma-threshold must be finite" in err
+        assert not out_dir.exists()
+
+    def test_phi_and_settings_file_are_exclusive(self, capsys, tmp_path):
+        from hyperon_leggett import build_settings, save_settings
+        path = tmp_path / "settings.txt"
+        save_settings(path, build_settings(1.0))
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--channel", "SigmaPlus", "--events", "2000", "--phi-deg", "30",
+                  "--settings-file", str(path), "--out", str(out_dir)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestModuleEntryPoint:

@@ -27,6 +27,11 @@ class TestMeasurementParams:
         with pytest.raises(ValueError):
             MeasurementParams(eta, alpha)
 
+    @pytest.mark.parametrize("eta,alpha", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_rejected(self, eta, alpha):
+        with pytest.raises(ValueError):
+            MeasurementParams(eta, alpha)
+
     def test_constructors(self):
         assert MeasurementParams.sharp() == MeasurementParams(0.0, 1.0)
         assert MeasurementParams.unsharp(-0.4) == MeasurementParams(0.0, -0.4)

@@ -1,20 +1,37 @@
-"""Property tests: the array path that the scans use against the scalar path, and
-the invariances of the settings layout."""
+"""Property tests: the array path that the scans use against the scalar path, the
+closed forms against the 4x4 matrix path, the invariances of the settings layout,
+and exact text round trips of the catalog and of event files."""
 
 import math
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from hyperon_leggett import MeasurementParams, build_settings, leggett_sum_lhs
-from hyperon_leggett.correlations import pair_correlation
+from hyperon_leggett import (DecayMode, Direction, MeasurementParams, ProductionChannel,
+                             build_settings, leggett_sum_lhs, load_events,
+                             sample_pair_decay, save_events)
+from hyperon_leggett.catalog import MOTHERS, parse_catalog, serialize_catalog
+from hyperon_leggett.correlations import (correlation_singlet, correlation_triplet_m0,
+                                          correlation_via_operators, joint_prob_matrix,
+                                          joint_prob_singlet, pair_correlation)
 from hyperon_leggett.geometry import (DEFAULT_AXES, DEFAULT_FRAME, flip_b_prime,
                                       settings_arrays, settings_from_text, settings_to_text)
 from hyperon_leggett.inequalities import leggett_sum_value
+from hyperon_leggett.quantum import singlet_state, triplet_m0_state
+from hyperon_leggett.simulation import _PROVENANCE_FIELDS
 
 from conftest import random_rotation, rotated, setting_directions
 
 phis = st.floats(min_value=0.0, max_value=math.pi, exclude_min=True)
+alphas = st.floats(min_value=-1.0, max_value=1.0)
+# Whitespace-free tokens without "#", as the catalog and events headers need.
+tokens = st.text(alphabet=string.ascii_letters + string.digits + "_+-",
+                 min_size=1, max_size=12)
+directions = st.tuples(alphas, alphas, alphas).filter(
+    lambda v: math.hypot(*v) >= 0.1).map(lambda v: Direction.normalized(*v))
 
 
 @st.composite
@@ -94,3 +111,56 @@ def test_sum_form_lhs_invariant_under_rotation(phi, frame_axes, channel):
     rotated_lhs = scalar_lhs(phi, *frame_axes, spin_state, pa, pb)
     default_lhs = scalar_lhs(phi, DEFAULT_FRAME, DEFAULT_AXES, spin_state, pa, pb)
     assert abs(rotated_lhs - default_lhs) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(measurement_params(True), directions, measurement_params(True), directions)
+def test_singlet_closed_forms_match_matrix_path(pa, a, pb, b):
+    closed = joint_prob_singlet(pa, a, pb, b)
+    matrix = joint_prob_matrix(singlet_state(), pa, a, pb, b)
+    for j in (1, -1):
+        for k in (1, -1):
+            assert abs(closed.value(j, k) - matrix.value(j, k)) <= 1e-12
+    assert abs(correlation_singlet(pa, a, pb, b)
+               - correlation_via_operators(singlet_state(), pa, a, pb, b)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(measurement_params(False), directions, measurement_params(False), directions)
+def test_triplet_closed_form_matches_matrix_path(pa, a, pb, b):
+    assert abs(correlation_triplet_m0(pa, a, pb, b)
+               - correlation_via_operators(triplet_m0_state(), pa, a, pb, b)) <= 1e-12
+
+
+@st.composite
+def decay_modes(draw):
+    """Catalog rows with distinct hyperon names and arbitrary finite numbers."""
+    names = draw(st.lists(tokens, max_size=6, unique=True))
+    return [DecayMode(name, draw(tokens), draw(alphas),
+                      draw(st.floats(min_value=0.0, allow_infinity=False)),
+                      draw(st.none() | tokens.filter(lambda t: t != "-")))
+            for name in names]
+
+
+@settings(max_examples=200, deadline=None)
+@given(decay_modes())
+def test_catalog_text_round_trip_is_exact(modes):
+    assert parse_catalog(serialize_catalog(modes)) == modes
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(MOTHERS)), tokens, alphas, tokens, alphas,
+       st.integers(0, 2**64 - 1), st.integers(1, 50),
+       st.just("-") | st.text(alphabet="0123456789abcdef", min_size=1, max_size=64))
+def test_events_text_round_trip_is_exact(mother, name_a, alpha_a, name_b, alpha_b,
+                                         seed, n_events, sha):
+    channel = ProductionChannel(mother, DecayMode(name_a, "x_y", alpha_a, 0.0),
+                                DecayMode(name_b, "x_y", alpha_b, 0.0))
+    sample = sample_pair_decay(channel, n_events, seed, catalog_sha256=sha)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.txt"
+        save_events(path, sample)
+        loaded = load_events(path)
+    assert (loaded.n_a == sample.n_a).all() and (loaded.n_b == sample.n_b).all()
+    for key in _PROVENANCE_FIELDS:
+        assert getattr(loaded, key) == getattr(sample, key), key

@@ -16,7 +16,7 @@ from hyperon_leggett.quantum import Direction
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
 from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _generator,
                                         _random_unit, _sample_about_axes,
-                                        _sample_cosines, event_moments,
+                                        event_moments,
                                         sample_single_decays,
                                         spin_correlation_matrix)
 
@@ -31,6 +31,11 @@ def _channel(alpha_a=0.98, alpha_b=0.98, mother="eta_c"):
 
 
 SIGMA_LIKE = _channel(-0.98, 0.98)
+
+
+def linear_cosine_cdf(alpha):
+    """CDF of the cosine density (1 + alpha c)/2 on [-1, 1]."""
+    return lambda c: (c + 1.0) / 2.0 + alpha * (c * c - 1.0) / 4.0
 
 
 class TestSpinCorrelationMatrix:
@@ -77,31 +82,13 @@ class TestSingleDecay:
         assert abs(proj.mean() - alpha * u.dot(a)) < 5 * se
 
     def test_cosine_distribution_matches_cdf(self):
-        # KS against the closed-form CDF of (1 + alpha c)/2
-        alpha = 0.98
-        n = sample_single_decays(Z_AXIS, alpha, 100_000, seed=14)
-        cdf = lambda c: (c + 1.0) / 2.0 + alpha * (c * c - 1.0) / 4.0
-        result = stats.kstest(n[:, 2], cdf)
-        assert result.pvalue > 0.01
-
-
-class TestSampleCosines:
-    @pytest.mark.parametrize("alpha", [1e-11, 1e-9, 1e-6])
-    def test_accurate_for_small_alpha(self, alpha):
-        c = _sample_cosines(alpha, 100_000, _generator(21))
-        r = _generator(21).random(100_000).astype(np.longdouble)
-        al = np.longdouble(alpha)
-        reference = (4 * r - 2 + al) / (np.sqrt((1 - al) ** 2 + 4 * al * r) + 1)
-        assert np.max(np.abs(c - reference)) <= 1e-15
-
-    def test_exact_linear_map_at_zero_alpha(self):
-        c = _sample_cosines(0.0, 100_000, _generator(22))
-        assert np.array_equal(c, 2.0 * _generator(22).random(100_000) - 1.0)
-
-    @pytest.mark.parametrize("alpha", [1.0, -1.0])
-    def test_within_range_at_unit_alpha(self, alpha):
-        c = _sample_cosines(alpha, 1_000_000, _generator(23))
-        assert np.all(np.abs(c) <= 1.0)
+        # KS of u.n against the closed-form CDF of (1 + alpha c)/2, about an
+        # axis with three non-zero components.
+        u = Direction.normalized(0.3, -0.5, 0.8)
+        for alpha in (-1.0, -0.4, 1e-9, 0.98, 1.0):
+            n = sample_single_decays(u, alpha, 100_000, seed=14)
+            result = stats.kstest(n @ u.as_array(), linear_cosine_cdf(alpha))
+            assert result.pvalue > 0.01, alpha
 
 
 class TestPairDecay:
@@ -137,6 +124,14 @@ class TestPairDecay:
             se = prods.std(axis=0, ddof=1) / math.sqrt(sample.n_events)
             target = -0.98 * 0.98 * spin_correlation_matrix(channel)
             assert np.all(np.abs(mean - target) < 5 * se)
+
+    @pytest.mark.parametrize("mother", ["eta_c", "chi_c0"])
+    def test_conditional_cosine_matches_cdf(self, mother):
+        # Given n_A, the cosine of n_B about C n_A has density (1 + alpha_a alpha_b c)/2.
+        channel = _channel(-0.98, 0.98, mother)
+        sample = sample_pair_decay(channel, 100_000, seed=28)
+        c = np.einsum("ni,ij,nj->n", sample.n_a, spin_correlation_matrix(channel), sample.n_b)
+        assert stats.kstest(c, linear_cosine_cdf(-0.98 * 0.98)).pvalue > 0.01
 
     def test_sharp_singlet_opening_angle(self):
         # <n_A.n_B> = sum_i alpha_a alpha_b C_ii / 9 = -1/3 for the sharp singlet
