@@ -9,6 +9,7 @@ time and should stay user-auditable.  Format: whitespace-separated columns
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -39,8 +40,9 @@ class DecayMode:
         object.__setattr__(self, "alpha_uncertainty", float(self.alpha_uncertainty))
         if not -1.0 <= self.alpha <= 1.0:
             raise ValueError(f"{self.hyperon}: |alpha| must not exceed 1, got {self.alpha!r}")
-        if self.alpha_uncertainty < 0.0:
-            raise ValueError(f"{self.hyperon}: alpha uncertainty must be >= 0")
+        if not 0.0 <= self.alpha_uncertainty < math.inf:
+            raise ValueError(f"{self.hyperon}: alpha uncertainty must be finite and >= 0, "
+                             f"got {self.alpha_uncertainty!r}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -36,8 +36,8 @@ from .inequalities import (leggett_max_lhs, leggett_sum_curve, leggett_sum_lhs,
                            symmetric_alpha_threshold)
 from .povm import MeasurementParams
 from .quantum import Direction, singlet_state, triplet_m0_state
-from .simulation import (estimate_leggett_lhs, event_moments, sample_pair_decay,
-                         save_events, spin_correlation_matrix, write_row_blocks)
+from .simulation import (_BLOCK_ROWS, estimate_leggett_lhs, event_moments,
+                         sample_pair_decay, save_events, spin_correlation_matrix)
 
 TOOL = "hyperon-leggett"
 
@@ -151,6 +151,14 @@ def _emit_json(payload: Mapping[str, Any], out: str | None) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_row_blocks(fh: TextIO, row_format: str, columns: Sequence[np.ndarray]) -> None:
+    """Write the rows of ``columns`` ((N,) or (N, k) arrays, stacked as floats)
+    as ``row_format % row``, one ``%`` per block, never holding the whole text."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
+        fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+
+
 def _emit_csv(result: ScanResult, header_order: Sequence[str], out: str | None) -> None:
     cols = [result.columns[name] for name in header_order]
     # %r is the shortest exact round trip of a float; flags print as 0/1.
@@ -159,7 +167,7 @@ def _emit_csv(result: ScanResult, header_order: Sequence[str], out: str | None) 
         for key, value in result.metadata.items():
             fh.write(f"# {key} {value}\n")
         fh.write(",".join(header_order) + "\n")
-        write_row_blocks(fh, row_format, cols)
+        _write_row_blocks(fh, row_format, cols)
 
 
 def cmd_predict(args: argparse.Namespace, argv: Sequence[str]) -> int:

@@ -30,10 +30,10 @@ and x = vec(n_A n_B^T), so the count, mean and centred sum of squares of x
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .quantum import PAULI, Direction, expectation, row_dot, tensor
 GENERATOR = "philox4x64"
 
 _EVENTS_FORMAT = "hyperon-leggett-events 1"
-_EVENT_ROW_FORMAT = " ".join(["%.17g"] * 6) + "\n"
 # Rows per block when writing text and when accumulating moments.
 _BLOCK_ROWS = 4096
 # Provenance fields of an events file, in header order; each is an EventSample field.
@@ -260,22 +259,110 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings) -> Legge
                            method=method)
 
 
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split: v = hi + lo exactly, each half with at most 26 significant bits."""
+    t = v * 134217729.0  # 2**27 + 1
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+# 10**(17 + z) for z zeros after "0.": exact doubles.
+_SCALES = np.array([1e17, 1e18, 1e19, 1e20])
+
+
+@functools.cache
+def _group_words() -> np.ndarray:
+    """The "%04d" text of each 4-digit group, then the same with trailing zeros as NUL
+    bytes (0 is all NUL) for the last groups of a number: one native uint32 word each.
+    Built on first use, so commands that write no events neither build it nor hold it."""
+    place = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    digits = (np.arange(10000, dtype=np.uint16)[:, None] // place % 10
+              + ord("0")).astype(np.uint8)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    stripped = np.where(trailing, 0, digits).astype(np.uint8)
+    words = np.concatenate([digits, stripped]).view(np.uint32).ravel()
+    words.setflags(write=False)
+    return words
+
+
+# Sign, "0.", z zeros and the leading digit, at index 40 sign + 10 z + digit: two words.
+_HEAD_WORDS = np.frombuffer(b"".join(
+    (b"-" if negative else b"\0") + b"0." + (b"0" * z).ljust(3, b"\0") + b"%d\0" % digit
+    for negative in (0, 1) for z in range(4) for digit in range(10)),
+    dtype=np.uint32).reshape(-1, 2)
+_SEPARATOR_WORDS = np.frombuffer(b" \0\0\0" * 5 + b"\n\0\0\0", dtype=np.uint32)
+
+
+def _significant_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros z after "0." and D = round-half-even(a 10**(17 + z)), the 17
+    significant digits as an int64, of each a in [1e-4, 1), exactly.
+
+    The decade comparisons are exact, as each of 0.1, 0.01, 0.001 and 1e-4 as a
+    double lies just above its power of ten.  Dekker's two-product (Numer. Math. 18,
+    1971) gives a 10**(17 + z) = p + e exactly, with p an even integer >= 2**53, so
+    p + np.rint(e) rounds a tie to even.
+    """
+    z = ((a < 0.1).view(np.int8) + (a < 0.01).view(np.int8)
+         + (a < 0.001).view(np.int8)).astype(np.intp)
+    scale = _SCALES[z]
+    p = a * scale
+    a_hi, a_lo = _split(a)
+    s_hi, s_lo = _split(scale)
+    e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    return z, p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """The bytes of ``"%.17g %.17g %.17g %.17g %.17g %.17g\\n" % row`` for each row
+    of a (k, 6) float array, formatted in whole-array operations.
+
+    A value x with |x| in [1e-4, 1) is written as its sign, "0.", z zeros and the 17
+    digits of _significant_digits without trailing zeros, in seven words with NUL
+    for the bytes it does not use; the NULs are removed at the end.  Other values
+    (0, +-1, the exponent form, non-finite) take "%.17g" itself, at most 24 bytes.
+    """
+    x = rows.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1.0)
+    a[~fast] = 0.5
+    z, digits = _significant_digits(a)
+    fast &= (digits >= 10 ** 16) & (digits < 10 ** 17)
+    # 1 + 16 digits: lead, then the groups g1 g2 (of hi) and g3 g4 (of lo).
+    hi = digits // 10 ** 8
+    lo = (digits - hi * 10 ** 8).astype(np.int32)
+    lead = hi // 10 ** 8
+    hi = (hi - lead * 10 ** 8).astype(np.int32)
+    g1 = hi // 10 ** 4
+    g2 = hi - g1 * 10 ** 4
+    g3 = lo // 10 ** 4
+    g4 = lo - g3 * 10 ** 4
+    words = np.empty((x.size, 7), dtype=np.uint32)
+    words[:, :2] = _HEAD_WORDS[lead + 10 * z + 40 * (x < 0)]
+    # A group followed by zero groups only takes its stripped form.
+    groups = _group_words()
+    lo_zero = lo == 0
+    words[:, 2] = groups[g1 + 10000 * (lo_zero & (g2 == 0))]
+    words[:, 3] = groups[g2 + 10000 * lo_zero]
+    words[:, 4] = groups[g3 + 10000 * (g4 == 0)]
+    words[:, 5] = groups[g4 + 10000]
+    words.reshape(-1, 6, 7)[:, :, 6] = _SEPARATOR_WORDS
+    text = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    text[slow, :24] = np.array([b"%.17g" % v for v in x[slow].tolist()],
+                               dtype="S24").view(np.uint8).reshape(-1, 24)
+    return text.tobytes().translate(None, b"\0")
+
+
 def save_events(path: str | Path, sample: EventSample) -> None:
-    """Versioned columnar text file: provenance header, then six floats per event."""
+    """Versioned columnar text file: provenance header, then six floats per event,
+    the same bytes as np.savetxt(fmt="%.17g", comments="# ")."""
     header = [_EVENTS_FORMAT, *(f"{key} {getattr(sample, key)}" for key in _PROVENANCE_FIELDS),
               f"n_events {sample.n_events}", "columns nax nay naz nbx nby nbz"]
-    # The same bytes as np.savetxt(fmt="%.17g", comments="# ").
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"# {line}\n" for line in header))
-        write_row_blocks(fh, _EVENT_ROW_FORMAT, [sample.n_a, sample.n_b])
-
-
-def write_row_blocks(fh: TextIO, row_format: str, columns: Sequence[np.ndarray]) -> None:
-    """Write the rows of ``columns`` ((N,) or (N, k) arrays, stacked as floats)
-    as ``row_format % row``, one ``%`` per block, never holding the whole text."""
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
-        fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in header).encode("utf-8"))
+        for start in range(0, sample.n_events, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            fh.write(_format_rows(np.hstack([sample.n_a[start:stop], sample.n_b[start:stop]])))
 
 
 def load_events(path: str | Path) -> EventSample:

@@ -40,3 +40,8 @@ def setting_directions(settings) -> list[tuple[Direction, Direction, Direction]]
     """(a_i, b_i, b_i') for each row i of the settings arrays, as Directions."""
     return [tuple(Direction(*rows[i]) for rows in (settings.a, settings.b, settings.b_prime))
             for i in range(3)]
+
+
+def percent_rows(rows: np.ndarray) -> bytes:
+    """The "%.17g" text of the rows of a (k, 6) array, as np.savetxt writes it."""
+    return (("%.17g " * 5 + "%.17g\n") * len(rows) % tuple(rows.ravel().tolist())).encode()

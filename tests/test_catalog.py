@@ -29,6 +29,16 @@ class TestDecayMode:
         with pytest.raises(ValueError):
             DecayMode("BadMode", "x_y", 0.5, -0.01)
 
+    @pytest.mark.parametrize("uncertainty", [math.nan, math.inf, -math.inf])
+    def test_non_finite_uncertainty_rejected(self, uncertainty):
+        with pytest.raises(ValueError, match="BadMode: alpha uncertainty must be finite"):
+            DecayMode("BadMode", "x_y", 0.5, uncertainty)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_uncertainty_row_rejected(self, text):
+        with pytest.raises(ValueError, match=":1: X: alpha uncertainty must be finite"):
+            parse_catalog(f"X p 0.5 {text} -\n")
+
 
 class TestShippedCatalog:
     def test_flagship_mode(self, modes):

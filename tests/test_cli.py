@@ -91,6 +91,15 @@ class TestPredict:
         assert out == ""
         assert f"{path}:12: duplicate key 'b1'" in err
 
+    @pytest.mark.parametrize("uncertainty", ["nan", "inf", "-inf"])
+    def test_non_finite_catalog_uncertainty_rejected(self, capsys, tmp_path, uncertainty):
+        path = tmp_path / "catalog.txt"
+        path.write_text(f"X p 0.5 {uncertainty} Y\nY p -0.5 0.01 X\n", encoding="utf-8")
+        code, out, err = run(["predict", "--channel", "X", "--catalog", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{path}:1: X: alpha uncertainty must be finite and >= 0" in err
+
     def test_triplet_with_bias_rejected(self, capsys):
         code, _, err = run(["predict", "--channel", "SigmaPlus", "--mother", "chi_c0",
                             "--alpha-a", "0.5", "--eta-a", "0.1"], capsys)

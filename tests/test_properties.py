@@ -21,9 +21,9 @@ from hyperon_leggett.geometry import (DEFAULT_AXES, DEFAULT_FRAME, flip_b_prime,
                                       settings_arrays, settings_from_text, settings_to_text)
 from hyperon_leggett.inequalities import leggett_sum_value
 from hyperon_leggett.quantum import singlet_state, triplet_m0_state
-from hyperon_leggett.simulation import _PROVENANCE_FIELDS
+from hyperon_leggett.simulation import _PROVENANCE_FIELDS, _format_rows
 
-from conftest import random_rotation, rotated, setting_directions
+from conftest import percent_rows, random_rotation, rotated, setting_directions
 
 phis = st.floats(min_value=0.0, max_value=math.pi, exclude_min=True)
 alphas = st.floats(min_value=-1.0, max_value=1.0)
@@ -164,3 +164,10 @@ def test_events_text_round_trip_is_exact(mother, name_a, alpha_a, name_b, alpha_
     assert (loaded.n_a == sample.n_a).all() and (loaded.n_b == sample.n_b).all()
     for key in _PROVENANCE_FIELDS:
         assert getattr(loaded, key) == getattr(sample, key), key
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 6), min_size=1, max_size=20))
+def test_event_text_matches_percent_format(rows):
+    rows = np.array(rows, dtype=float)
+    assert _format_rows(rows) == percent_rows(rows)

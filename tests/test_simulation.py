@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,13 +15,13 @@ from hyperon_leggett import (DecayMode, ProductionChannel,
 from hyperon_leggett.catalog import channel_correlation
 from hyperon_leggett.quantum import Direction
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
-from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _generator,
+from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _format_rows, _generator,
                                         _random_unit, _sample_about_axes,
                                         event_moments,
                                         sample_single_decays,
                                         spin_correlation_matrix)
 
-from conftest import random_direction, random_rotation, rotated
+from conftest import percent_rows, random_direction, random_rotation, rotated
 
 
 def _channel(alpha_a=0.98, alpha_b=0.98, mother="eta_c"):
@@ -338,6 +339,45 @@ class TestCalibration:
         assert 0.807 - 0.12 <= lhs.std(ddof=1) / std_error.mean() <= 0.807 + 0.12
 
 
+class TestEventText:
+    """simulation._format_rows against the "%.17g" text it stands in for."""
+
+    @staticmethod
+    def assert_matches(values):
+        values = np.asarray(values, dtype=float)
+        rows = np.resize(values, (-(-values.size // 6), 6))
+        assert _format_rows(rows) == percent_rows(rows)
+
+    def test_zeros_and_units(self):
+        rows = np.array([[0.0, -0.0, 1.0, -1.0, 0.5, -0.25]])
+        assert _format_rows(rows) == b"0 -0 1 -1 0.5 -0.25\n"
+        self.assert_matches(rows)
+
+    @pytest.mark.parametrize("power", [1e-4, 1e-3, 1e-2, 1e-1])
+    def test_decade_edges(self, power):
+        # The 1000 doubles either side of +-power; below 1e-4, the exponent form.
+        steps = np.arange(-1000, 1001)
+        self.assert_matches([(np.array([sign * power]).view(np.int64) + steps).view(float)
+                             for sign in (1.0, -1.0)])
+
+    def test_exponent_form_below_1e_4(self):
+        below = np.nextafter(1e-4, 0.0)
+        rows = np.array([[below, -below, 1e-5, 1e-200, 5e-324, 0.5]])
+        assert _format_rows(rows).split()[:2] == [b"9.9999999999999991e-05",
+                                                  b"-9.9999999999999991e-05"]
+        self.assert_matches(rows)
+
+    def test_exact_ties_round_half_even(self):
+        # 0.5 + 2**-18 = 0.500003814697265625 has 18 significant digits.
+        assert _format_rows(np.full((1, 6), 0.5 + 2.0 ** -18)).split()[0] == \
+            b"0.50000381469726562"
+        # Odd n / 2**m has m decimals: 18 significant digits ending in 5, in each decade.
+        for m, low in ((18, 0.1), (19, 0.01), (20, 1e-3), (21, 1e-4)):
+            first = 2 * math.ceil(low * 2.0 ** m / 2) + 1
+            ties = np.arange(first, first + 2 * 900, 2) / 2.0 ** m
+            self.assert_matches(np.concatenate([ties, -ties]))
+
+
 class TestEventFile:
     def test_round_trip_exact(self, tmp_path):
         sample = sample_pair_decay(SIGMA_LIKE, 500, seed=51, catalog_sha256="abc123")
@@ -388,6 +428,41 @@ class TestEventFile:
         np.savetxt(reference, np.hstack([sample.n_a, sample.n_b]), fmt="%.17g",
                    header=header, comments="# ")
         assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("mother", ["eta_c", "chi_c0"])
+    def test_bytes_match_savetxt_with_rows_outside_the_kernel(self, tmp_path, mother):
+        # Zeros, units and an exponent-form component mid-block and on both sides of
+        # the block boundary, where "%.17g" itself formats the value.
+        sample = sample_pair_decay(_channel(mother=mother), _BLOCK_ROWS + 50, seed=57)
+        n_a, n_b = sample.n_a.copy(), sample.n_b.copy()
+        special = [(0.0, 0.0, 1.0), (-0.0, 0.0, -1.0), (1e-5, math.sqrt(1.0 - 1e-10), 0.0)]
+        for row in (7, 8, 9, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 20):
+            n_a[row], n_b[row] = special[row % 3], special[(row + 1) % 3]
+        sample = dataclasses.replace(sample, n_a=n_a, n_b=n_b)
+        path, reference = tmp_path / "events.txt", tmp_path / "reference.txt"
+        save_events(path, sample)
+        header = "\n".join([
+            "hyperon-leggett-events 1", "generator philox4x64", "seed 57",
+            f"mother {mother}", "hyperon_a A", "hyperon_b B", "alpha_a 0.98",
+            "alpha_b 0.98", f"spin_state {sample.spin_state}", "catalog_sha256 -",
+            f"n_events {_BLOCK_ROWS + 50}", "columns nax nay naz nbx nby nbz"])
+        np.savetxt(reference, np.hstack([n_a, n_b]), fmt="%.17g", header=header,
+                   comments="# ")
+        assert path.read_bytes() == reference.read_bytes()
+        assert b"\n0 0 1 -0 0 -1\n" in path.read_bytes()
+
+    def test_save_memory_does_not_grow_with_events(self, tmp_path):
+        peaks = []
+        for blocks in (2, 16):
+            sample = sample_pair_decay(SIGMA_LIKE, blocks * _BLOCK_ROWS, seed=58)
+            tracemalloc.start()
+            try:
+                save_events(tmp_path / "events.txt", sample)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 16 blocks of text are 8 MB; one block's text and scratch are about 4 MB.
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
