@@ -31,13 +31,13 @@ from .correlations import (correlation_singlet, correlation_triplet_m0,
                            correlation_via_operators, joint_prob_matrix,
                            joint_prob_singlet, pair_correlation)
 from .geometry import build_settings, load_settings, settings_arrays, validate_settings
-from .inequalities import (leggett_max_lhs, leggett_sum_curve, leggett_sum_lhs,
+from .inequalities import (_leggett_sum_report, leggett_max_lhs, leggett_sum_curve,
                            leggett_sum_value, leggett_violation_condition, optimal_phi,
                            symmetric_alpha_threshold)
 from .povm import MeasurementParams
 from .quantum import Direction, singlet_state, triplet_m0_state
-from .simulation import (_BLOCK_ROWS, estimate_leggett_lhs, event_moments,
-                         sample_pair_decay, save_events, spin_correlation_matrix)
+from .simulation import (_BLOCK_ROWS, GENERATOR, event_moments, leggett_lhs_from_moments,
+                         pair_blocks, spin_correlation_matrix, write_pair_events)
 
 TOOL = "hyperon-leggett"
 
@@ -128,17 +128,19 @@ def _closed_form_pairs(spin_state: str, pa: MeasurementParams, pb: MeasurementPa
 
 
 def _resolve_settings(args: argparse.Namespace, alpha_a: float):
+    """The command's settings, validated here once: the commands then call the bound
+    and the estimator in forms that do not validate them again."""
     if args.settings_file:
         settings = load_settings(args.settings_file)
-        violations = validate_settings(settings)
-        if violations:
-            raise ValueError(f"{args.settings_file}: " + "; ".join(violations))
-        return settings
-    if args.phi_deg is not None:
-        phi = math.radians(args.phi_deg)
+        prefix = f"{args.settings_file}: "
     else:
-        phi = optimal_phi(alpha_a)
-    return build_settings(phi)
+        phi = math.radians(args.phi_deg) if args.phi_deg is not None else optimal_phi(alpha_a)
+        settings = build_settings(phi)
+        prefix = "invalid triple settings: "
+    violations = validate_settings(settings)
+    if violations:
+        raise ValueError(prefix + "; ".join(violations))
+    return settings
 
 
 def _metadata(argv: Sequence[str], extra: Mapping[str, Any]) -> dict[str, Any]:
@@ -175,8 +177,8 @@ def cmd_predict(args: argparse.Namespace, argv: Sequence[str]) -> int:
     settings = _resolve_settings(args, resolved.pa.alpha)
     e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa, resolved.pb,
                                     settings.a, settings.b, settings.b_prime)
-    report = leggett_sum_lhs(settings, list(zip(e.tolist(), e_prime.tolist())),
-                             alpha_b=resolved.pb.alpha)
+    report = _leggett_sum_report(settings.phi, list(zip(e.tolist(), e_prime.tolist())),
+                                 resolved.pb.alpha)
     phi_star = optimal_phi(resolved.pa.alpha)
     max_lhs = leggett_max_lhs(resolved.pa.alpha, resolved.pb.alpha)
     payload = _metadata(argv, {
@@ -254,21 +256,33 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise ValueError("event simulation models unbiased decay measurements; "
                          "eta overrides are not supported here")
     settings = _resolve_settings(args, resolved.pa.alpha)
+    channel = resolved.channel
 
-    sample = sample_pair_decay(resolved.channel, args.events, args.seed,
-                               catalog_sha256=resolved.catalog_sha)
-    estimate = estimate_leggett_lhs(sample, settings)
-    # A few ulps of lhs_hat is rounding, as when b_i' = -b_i to rounding at alpha_a = 0.
-    if estimate.std_error <= 8.0 * np.spacing(abs(estimate.lhs_hat)):
-        raise ValueError("the estimate has zero standard error (every event gives the same "
-                         "pair sums at these settings), so its significance is undefined")
-    e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa, resolved.pb,
-                                    settings.a, settings.b, settings.b_prime)
-
+    # The events stream to a partial file, renamed once the estimate is accepted; a
+    # refused run removes it and the directories it made.
     out_dir = Path(args.out)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    events_path = out_dir / "events.txt"
-    save_events(events_path, sample)
+    events_path, partial_path = out_dir / "events.txt", out_dir / "events.txt.partial"
+    try:
+        with open(partial_path, "wb") as fh:
+            moments = write_pair_events(fh, channel, args.events, args.seed,
+                                        resolved.catalog_sha)
+        estimate = leggett_lhs_from_moments(moments, settings, args.seed,
+                                            float(channel.mode_b.alpha), channel.spin_state)
+        # A few ulps of lhs_hat is rounding, as when b_i' = -b_i to rounding at alpha_a = 0.
+        if estimate.std_error <= 8.0 * np.spacing(abs(estimate.lhs_hat)):
+            raise ValueError("the estimate has zero standard error (every event gives the "
+                             "same pair sums at these settings), so its significance is "
+                             "undefined")
+        partial_path.replace(events_path)
+    except BaseException:
+        partial_path.unlink(missing_ok=True)
+        for directory in created:
+            directory.rmdir()
+        raise
+    e, e_prime = _closed_form_pairs(channel.spin_state, resolved.pa, resolved.pb,
+                                    settings.a, settings.b, settings.b_prime)
 
     significance = (estimate.lhs_hat - 2.0) / estimate.std_error
     violation = significance >= args.sigma_threshold
@@ -276,7 +290,7 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     unbiased = {k: v for k, v in resolved.provenance().items() if not k.startswith("eta_")}
     payload = _metadata(argv, {
         **unbiased,
-        "generator": sample.generator,
+        "generator": GENERATOR,
         "seed": args.seed,
         "n_events": args.events,
         "phi_rad": settings.phi, "phi_deg": math.degrees(settings.phi),
@@ -350,7 +364,7 @@ def _run_checks(seed: int, trials: int, negative_control: bool) -> list[tuple[st
         mode = DecayMode("checkY", "check", 0.9, 0.0, None)
         channel = ProductionChannel(mother, mode, mode)
         c_matrix = spin_correlation_matrix(channel)
-        count, mean, scatter = event_moments(sample_pair_decay(channel, n_events, seed))
+        count, mean, scatter = event_moments(pair_blocks(channel, n_events, seed))
         mean = 9.0 * mean.reshape(3, 3)
         se = 9.0 * np.sqrt(np.diag(scatter) / ((count - 1) * count)).reshape(3, 3)
         target = 0.9 * 0.9 * c_matrix

@@ -130,13 +130,17 @@ def leggett_sum_lhs(settings: TripleSettings, e_pairs: EPairs,
     violations = validate_settings(settings)
     if violations:
         raise ValueError("invalid triple settings: " + "; ".join(violations))
+    return _leggett_sum_report(settings.phi, e_pairs, alpha_b)
+
+
+def _leggett_sum_report(phi: float, e_pairs: EPairs, alpha_b: float) -> InequalityReport:
+    """leggett_sum_lhs on settings of opening angle ``phi`` already validated."""
     pairs = _check_e_pairs(e_pairs)
-    lhs = leggett_sum_value([e + ep for e, ep in pairs], alpha_b, settings.phi)
+    lhs = leggett_sum_value([e + ep for e, ep in pairs], alpha_b, phi)
     return InequalityReport(
         name="leggett_sum", lhs=lhs, bound=2.0,
-        settings_used=f"triple settings, phi={settings.phi!r} rad",
-        inputs={"e_pairs": [list(p) for p in pairs], "alpha_b": alpha_b,
-                "phi": settings.phi})
+        settings_used=f"triple settings, phi={phi!r} rad",
+        inputs={"e_pairs": [list(p) for p in pairs], "alpha_b": alpha_b, "phi": phi})
 
 
 def leggett_sum_value(pair_sums, alpha_b: float, phi):

@@ -17,7 +17,9 @@ C^T n_A with alpha_a alpha_b in place of alpha.  C is recomputed from the
 density matrix and checked before any event is drawn.
 
 Generation uses numpy's counter-based Philox stream ("philox4x64") keyed by a
-64-bit seed; a fixed seed reproduces samples bit for bit.
+64-bit seed; a fixed seed reproduces samples bit for bit.  Pair events are drawn
+in blocks (pair_blocks) at fixed stream offsets, so the bytes do not depend on
+how many events are held at once.
 
 Estimator
 ---------
@@ -34,6 +36,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -53,9 +56,22 @@ _PROVENANCE_FIELDS = ("generator", "seed", "mother", "hyperon_a", "hyperon_b",
                       "alpha_a", "alpha_b", "spin_state", "catalog_sha256")
 _BOOTSTRAP_REPLICAS = 200
 
+# Count, mean and centred sum of squares of x = vec(n_A n_B^T); see event_moments.
+Moments = tuple[int, np.ndarray, np.ndarray]
+Block = tuple[np.ndarray, np.ndarray]
+
 
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
+def _generator_at(seed: int, offset: int) -> np.random.Generator:
+    """The stream of _generator(seed) after its first ``offset`` doubles."""
+    bit_generator = np.random.Philox(key=np.uint64(seed))
+    bit_generator.advance(offset // 4)  # one counter step gives four 64-bit words
+    rng = np.random.Generator(bit_generator)
+    rng.random(offset % 4)
+    return rng
 
 
 def spin_correlation_matrix(channel: ProductionChannel) -> np.ndarray:
@@ -75,22 +91,31 @@ def spin_correlation_matrix(channel: ProductionChannel) -> np.ndarray:
     return expected
 
 
-def _random_unit(n: int, rng: np.random.Generator) -> np.ndarray:
+def _unit_from_uniforms(u_cos: np.ndarray, u_psi: np.ndarray) -> np.ndarray:
     """Isotropic unit vectors: uniform cosine and azimuth, inverse-CDF style."""
-    c = 2.0 * rng.random(n) - 1.0
-    psi = 2.0 * math.pi * rng.random(n)
+    c = 2.0 * u_cos - 1.0
+    psi = 2.0 * math.pi * u_psi
     s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
     return np.column_stack([s * np.cos(psi), s * np.sin(psi), c])
 
 
+def _random_unit(n: int, rng: np.random.Generator) -> np.ndarray:
+    return _unit_from_uniforms(rng.random(n), rng.random(n))
+
+
+def _flip_about_axes(axes: np.ndarray, alpha: float, w: np.ndarray,
+                     u_flip: np.ndarray) -> np.ndarray:
+    """Directions with density (1 + alpha * axis.n)/(4 pi), one per axis row, from
+    isotropic w: w is kept where u_flip falls below (1 + alpha * axis.w)/2 and
+    reversed elsewhere, in place."""
+    flip = u_flip >= 0.5 * (1.0 + alpha * row_dot(axes, w))
+    return np.negative(w, out=w, where=flip[:, None])
+
+
 def _sample_about_axes(axes: np.ndarray, alpha: float,
                        rng: np.random.Generator) -> np.ndarray:
-    """Directions with density (1 + alpha * axis.n)/(4 pi), one per axis row: an
-    isotropic w, kept where a uniform falls below (1 + alpha * axis.w)/2 and
-    reversed elsewhere."""
     w = _random_unit(axes.shape[0], rng)
-    flip = rng.random(axes.shape[0]) >= 0.5 * (1.0 + alpha * row_dot(axes, w))
-    return np.negative(w, out=w, where=flip[:, None])
+    return _flip_about_axes(axes, alpha, w, rng.random(axes.shape[0]))
 
 
 def sample_single_decays(u: Direction, alpha: float, n_events: int, seed: int) -> np.ndarray:
@@ -129,9 +154,7 @@ class EventSample:
             arr = np.asarray(getattr(self, name), dtype=float).view()
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError(f"{name} must have shape (N, 3)")
-            worst = float(np.max(np.abs(np.einsum("ij,ij->i", arr, arr) - 1.0)))
-            if worst > 1e-12:
-                raise ValueError(f"{name} holds non-unit directions (residual {worst:.3e})")
+            _check_unit_rows(name, arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.n_a.shape != self.n_b.shape:
@@ -141,34 +164,75 @@ class EventSample:
     def n_events(self) -> int:
         return self.n_a.shape[0]
 
+    def __iter__(self) -> Iterator[Block]:
+        """The events as (n_a, n_b) views of _BLOCK_ROWS rows (the last may be shorter)."""
+        for start in range(0, self.n_events, _BLOCK_ROWS):
+            yield self.n_a[start:start + _BLOCK_ROWS], self.n_b[start:start + _BLOCK_ROWS]
+
+
+def _check_unit_rows(name: str, arr: np.ndarray) -> None:
+    """Refuse an (N, 3) array with a row off unit length by more than 1e-12, or NaN."""
+    worst = float(np.max(np.abs(np.einsum("ij,ij->i", arr, arr) - 1.0)))
+    if not worst <= 1e-12:
+        raise ValueError(f"{name} holds non-unit directions (residual {worst:.3e})")
+
+
+def _pair_provenance(channel: ProductionChannel, seed: int,
+                     catalog_sha256: str) -> dict[str, Any]:
+    return {"generator": GENERATOR, "seed": int(seed), "mother": channel.mother,
+            "hyperon_a": channel.mode_a.hyperon, "hyperon_b": channel.mode_b.hyperon,
+            "alpha_a": float(channel.mode_a.alpha), "alpha_b": float(channel.mode_b.alpha),
+            "spin_state": channel.spin_state, "catalog_sha256": catalog_sha256}
+
+
+def pair_blocks(channel: ProductionChannel, n_events: int, seed: int) -> Iterator[Block]:
+    """Joint decay events for an entangled pair channel (see the module docstring), as
+    (n_a, n_b) blocks of _BLOCK_ROWS rows (the last may be shorter), drawn one block
+    at a time.
+
+    An event takes five uniforms: the cosine and azimuth of n_A, those of the
+    isotropic w, and the flip.  Uniform k of event i is double k * n_events + i of
+    the seed's Philox stream, so the events do not depend on the block size: each
+    kind has its own generator, started at its offset.
+    """
+    if n_events < 1:
+        raise ValueError("n_events must be at least 1")
+    # C is +-diagonal (checked here), so n_a C needs no matrix product.
+    c_diag = np.diag(spin_correlation_matrix(channel))
+    alpha_ab = channel.mode_a.alpha * channel.mode_b.alpha
+    streams = [_generator_at(seed, kind * n_events) for kind in range(5)]
+    return (_pair_block(streams, min(_BLOCK_ROWS, n_events - start), c_diag, alpha_ab)
+            for start in range(0, n_events, _BLOCK_ROWS))
+
+
+def _pair_block(streams: list[np.random.Generator], rows: int, c_diag: np.ndarray,
+                alpha_ab: float) -> Block:
+    u_cos_a, u_psi_a, u_cos_w, u_psi_w, u_flip = (rng.random(rows) for rng in streams)
+    n_a = _unit_from_uniforms(u_cos_a, u_psi_a)
+    w = _unit_from_uniforms(u_cos_w, u_psi_w)
+    return n_a, _flip_about_axes(n_a * c_diag, alpha_ab, w, u_flip)
+
 
 def sample_pair_decay(channel: ProductionChannel, n_events: int, seed: int,
                       catalog_sha256: str = "-") -> EventSample:
-    """Joint decay events for an entangled pair channel; see the module docstring."""
-    if n_events < 1:
-        raise ValueError("n_events must be at least 1")
-    c_matrix = spin_correlation_matrix(channel)
-    alpha_ab = channel.mode_a.alpha * channel.mode_b.alpha
-    rng = _generator(seed)
-    n_a = _random_unit(n_events, rng)
-    # C is +-diagonal (checked above), so n_a C needs no matrix product.
-    n_b = _sample_about_axes(n_a * np.diag(c_matrix), alpha_ab, rng)
-    return EventSample(n_a=n_a, n_b=n_b, seed=seed, mother=channel.mother,
-                       hyperon_a=channel.mode_a.hyperon, hyperon_b=channel.mode_b.hyperon,
-                       alpha_a=channel.mode_a.alpha, alpha_b=channel.mode_b.alpha,
-                       spin_state=channel.spin_state, catalog_sha256=catalog_sha256)
+    """The blocks of pair_blocks(channel, n_events, seed) in one sample."""
+    blocks = pair_blocks(channel, n_events, seed)
+    n_a, n_b = np.empty((n_events, 3)), np.empty((n_events, 3))
+    for start, (block_a, block_b) in zip(range(0, n_events, _BLOCK_ROWS), blocks):
+        n_a[start:start + len(block_a)] = block_a
+        n_b[start:start + len(block_b)] = block_b
+    return EventSample(n_a=n_a, n_b=n_b, **_pair_provenance(channel, seed, catalog_sha256))
 
 
-def event_moments(sample: EventSample) -> tuple[int, np.ndarray, np.ndarray]:
+def event_moments(blocks: Iterable[Block]) -> Moments:
     """Count, mean and centred sum of squares sum (x - mean)(x - mean)^T of the
-    per-event 9-vectors x = vec(n_A n_B^T), over blocks of a fixed size, each
-    centred on its own mean and merged in order (Chan, Golub & LeVeque,
-    "Algorithms for computing the sample variance", 1983): raw second moments
-    never cancel."""
+    per-event 9-vectors x = vec(n_A n_B^T), over (n_a, n_b) blocks such as an
+    EventSample's, each centred on its own mean and merged in order (Chan, Golub &
+    LeVeque, "Algorithms for computing the sample variance", 1983): raw second
+    moments never cancel."""
     count, mean, scatter = 0, np.zeros(9), np.zeros((9, 9))
-    for start in range(0, sample.n_events, _BLOCK_ROWS):
-        n_a = sample.n_a[start:start + _BLOCK_ROWS].T
-        n_b = sample.n_b[start:start + _BLOCK_ROWS].T
+    for n_a, n_b in blocks:
+        n_a, n_b = n_a.T, n_b.T
         # One row of x per component, so the reductions run over contiguous rows.
         x = np.multiply(n_a[:, None, :], n_b[None, :, :], order="C").reshape(9, -1)
         rows = x.shape[1]
@@ -230,15 +294,22 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings) -> Legge
     violations = validate_settings(settings)
     if violations:
         raise ValueError("invalid triple settings: " + "; ".join(violations))
-    count, mean, scatter = event_moments(sample)
+    return leggett_lhs_from_moments(event_moments(sample), settings, sample.seed,
+                                    sample.alpha_b, sample.spin_state)
 
-    a = settings.a * a_side_inversion(sample.spin_state)
+
+def leggett_lhs_from_moments(moments: Moments, settings: TripleSettings, seed: int,
+                             alpha_b: float, spin_state: str) -> LeggettEstimate:
+    """estimate_leggett_lhs from the event_moments of a sample and its seed, alpha_b
+    and spin_state; ``settings`` must pass validate_settings."""
+    count, mean, scatter = moments
+    a = settings.a * a_side_inversion(spin_state)
     weights = 9.0 * (a[:, :, None] * (settings.b + settings.b_prime)[:, None, :]).reshape(3, 9)
     means = weights @ mean
     cov = weights @ scatter @ weights.T / ((count - 1) * count)
     se_means = np.sqrt(np.diag(cov))
 
-    lhs_hat = leggett_sum_value(means, sample.alpha_b, settings.phi)
+    lhs_hat = leggett_sum_value(means, alpha_b, settings.phi)
 
     if np.all(np.abs(means) > 2.0 * se_means):
         grad = np.sign(means) / 3.0
@@ -247,9 +318,9 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings) -> Legge
     else:
         # Keyed off the sample seed so reruns match exactly; "eigh" also takes a
         # singular covariance, such as the zero one when every b_i + b'_i vanishes.
-        rng = _generator(sample.seed ^ 0x626F6F74)
+        rng = _generator(seed ^ 0x626F6F74)
         replica_means = rng.multivariate_normal(means, cov, _BOOTSTRAP_REPLICAS, method="eigh")
-        replicas = leggett_sum_value(replica_means, sample.alpha_b, settings.phi)
+        replicas = leggett_sum_value(replica_means, alpha_b, settings.phi)
         std_error = float(replicas.std(ddof=1))
         method = "bootstrap"
 
@@ -353,16 +424,57 @@ def _format_rows(rows: np.ndarray) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
+def _events_header(provenance: Mapping[str, Any], n_events: int) -> bytes:
+    lines = [_EVENTS_FORMAT, *(f"{key} {provenance[key]}" for key in _PROVENANCE_FIELDS),
+             f"n_events {n_events}", "columns nax nay naz nbx nby nbz"]
+    return "".join(f"# {line}\n" for line in lines).encode("utf-8")
+
+
+@functools.cache
+def _raise_heap_thresholds() -> None:
+    """Free one untouched 8 MB buffer, once per process.
+
+    glibc's malloc serves a request below its mmap threshold from the heap and
+    trims the heap top once more than its trim threshold lies free there.  Both
+    thresholds start at 128 KiB and rise for good, up to 32 MiB, to the size of a
+    freed mmapped chunk and twice that.  _format_rows frees some MB per block, so
+    unless a larger chunk has been freed before, the heap is trimmed and faulted
+    back in on every block (with glibc 2.36 a 4 MB buffer avoids that and a 2 MB one
+    does not).  Under other allocators this is one allocation and nothing more.
+    """
+    np.empty(8 << 20, dtype=np.uint8)
+
+
+def _written(fh: BinaryIO, provenance: Mapping[str, Any], n_events: int,
+             blocks: Iterable[Block]) -> Iterator[Block]:
+    """Write the events file of ``blocks`` to ``fh``, checking each block as
+    EventSample checks its rows, and pass each block on once it is written."""
+    fh.write(_events_header(provenance, n_events))
+    _raise_heap_thresholds()
+    for n_a, n_b in blocks:
+        _check_unit_rows("n_a", n_a)
+        _check_unit_rows("n_b", n_b)
+        fh.write(_format_rows(np.hstack([n_a, n_b])))
+        yield n_a, n_b
+
+
 def save_events(path: str | Path, sample: EventSample) -> None:
     """Versioned columnar text file: provenance header, then six floats per event,
     the same bytes as np.savetxt(fmt="%.17g", comments="# ")."""
-    header = [_EVENTS_FORMAT, *(f"{key} {getattr(sample, key)}" for key in _PROVENANCE_FIELDS),
-              f"n_events {sample.n_events}", "columns nax nay naz nbx nby nbz"]
+    provenance = {key: getattr(sample, key) for key in _PROVENANCE_FIELDS}
     with open(path, "wb") as fh:
-        fh.write("".join(f"# {line}\n" for line in header).encode("utf-8"))
-        for start in range(0, sample.n_events, _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            fh.write(_format_rows(np.hstack([sample.n_a[start:stop], sample.n_b[start:stop]])))
+        for _ in _written(fh, provenance, sample.n_events, sample):
+            pass
+
+
+def write_pair_events(fh: BinaryIO, channel: ProductionChannel, n_events: int, seed: int,
+                      catalog_sha256: str) -> Moments:
+    """Write to ``fh`` the bytes save_events writes for sample_pair_decay(channel,
+    n_events, seed, catalog_sha256) and return their event_moments, in one pass:
+    each block is drawn, checked, written and accumulated before the next, so
+    nothing of size n_events is held."""
+    provenance = _pair_provenance(channel, seed, catalog_sha256)
+    return event_moments(_written(fh, provenance, n_events, pair_blocks(channel, n_events, seed)))
 
 
 def load_events(path: str | Path) -> EventSample:

@@ -1,10 +1,15 @@
 import json
 import math
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hyperon_leggett import geometry, sample_pair_decay, save_events
+from hyperon_leggett.catalog import (catalog_sha256, default_catalog_path, load_catalog,
+                                     make_pair_channel)
 from hyperon_leggett.cli import ScanResult, main
 from hyperon_leggett.inequalities import leggett_max_lhs, leggett_violation_condition
 from hyperon_leggett.simulation import _BLOCK_ROWS
@@ -14,6 +19,20 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_validations(monkeypatch):
+    """Calls of geometry.validate_settings from any package module, appended to a list."""
+    original, calls = geometry.validate_settings, []
+
+    def counted(settings):
+        calls.append(settings)
+        return original(settings)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("hyperon_leggett")
+                and getattr(module, "validate_settings", None) is original):
+            monkeypatch.setattr(module, "validate_settings", counted)
+    return calls
 
 
 class TestPredict:
@@ -292,6 +311,7 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "zero standard error" in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("mother", ["chi_c0", "eta_c"])
     def test_rounding_level_standard_error_refused(self, capsys, tmp_path, mother):
@@ -304,6 +324,64 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "zero standard error" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_refused_run_leaves_directories_as_found(self, capsys, tmp_path):
+        # The events stream to a partial file: a refusal removes it and every
+        # directory the run made, and leaves an existing directory's files alone.
+        (tmp_path / "kept.txt").write_text("x", encoding="utf-8")
+        for out_dir in (tmp_path / "new" / "deeper", tmp_path):
+            code, _, err = run(["simulate", "--alpha-a", "0.0", "--alpha-b", "0.9",
+                                "--events", "1000", "--out", str(out_dir)], capsys)
+            assert code == 2 and "zero standard error" in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
+
+    @pytest.mark.parametrize("mother", ["eta_c", "chi_c0"])
+    @pytest.mark.parametrize("n", [100, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 3])
+    def test_streamed_events_match_the_whole_sample(self, capsys, tmp_path, mother, n):
+        # Partial last blocks, and stream offsets k * n that are not multiples of 4.
+        out_dir = tmp_path / "run"
+        run(["simulate", "--channel", "SigmaPlus", "--mother", mother, "--events", str(n),
+             "--seed", "17", "--out", str(out_dir)], capsys)
+        path = default_catalog_path()
+        channel = make_pair_channel(load_catalog(path), "SigmaPlus", mother=mother)
+        reference = tmp_path / "reference.txt"
+        save_events(reference, sample_pair_decay(channel, n, 17,
+                                                 catalog_sha256=catalog_sha256(path)))
+        assert (out_dir / "events.txt").read_bytes() == reference.read_bytes()
+        assert sorted(p.name for p in out_dir.iterdir()) == ["events.txt", "summary.json"]
+
+    def test_memory_does_not_grow_with_events(self, capsys, tmp_path):
+        # First use builds the text tables and frees the 8 MB heap-threshold buffer.
+        run(["simulate", "--channel", "SigmaPlus", "--events", "200",
+             "--out", str(tmp_path / "warm-up")], capsys)
+        peaks = []
+        for blocks in (2, 16):
+            tracemalloc.start()
+            try:
+                main(["simulate", "--channel", "SigmaPlus", "--events",
+                      str(blocks * _BLOCK_ROWS), "--out", str(tmp_path / f"run{blocks}")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+        # One block's text and scratch are about 4 MB; 16 blocks of events are 3 MB
+        # as arrays and 8 MB as text, and none of them is held.
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "--channel", "SigmaPlus"],
+        ["simulate", "--channel", "SigmaPlus", "--events", "2000"]])
+    def test_settings_file_validated_once(self, capsys, monkeypatch, tmp_path, command):
+        from hyperon_leggett import build_settings, save_settings
+        path = tmp_path / "settings.txt"
+        save_settings(path, build_settings(1.1))
+        out = ["--out", str(tmp_path / "run")] if command[0] == "simulate" else []
+        calls = count_validations(monkeypatch)
+        code, _, _ = run([*command, "--settings-file", str(path), *out], capsys)
+        assert code in (0, 1)
+        assert len(calls) == 1
 
     def test_small_alpha_a_still_estimated(self, capsys, tmp_path):
         code, out, _ = run(["simulate", "--alpha-a", "0.001", "--alpha-b", "0.9",

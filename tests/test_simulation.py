@@ -17,7 +17,7 @@ from hyperon_leggett.quantum import Direction
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
 from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _format_rows, _generator,
                                         _random_unit, _sample_about_axes,
-                                        event_moments,
+                                        event_moments, pair_blocks,
                                         sample_single_decays,
                                         spin_correlation_matrix)
 
@@ -154,6 +154,22 @@ class TestPairDecay:
         n_b = _sample_about_axes(n_a @ spin_correlation_matrix(channel), -0.98 * 0.98, rng)
         assert np.array_equal(sample.n_a, n_a)
         assert np.array_equal(sample.n_b, n_b)
+
+
+    @pytest.mark.parametrize("mother", ["eta_c", "chi_c0"])
+    @pytest.mark.parametrize("n", [100, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+    def test_blocks_match_one_whole_array_draw(self, mother, n):
+        # Each kind of uniform, drawn for all n events from one stream in turn.
+        channel = _channel(-0.98, 0.98, mother)
+        rng = _generator(29)
+        n_a = _random_unit(n, rng)
+        n_b = _sample_about_axes(n_a * np.diag(spin_correlation_matrix(channel)),
+                                 -0.98 * 0.98, rng)
+        blocks = list(pair_blocks(channel, n, seed=29))
+        assert [len(a) for a, _ in blocks] == [min(_BLOCK_ROWS, n - start)
+                                               for start in range(0, n, _BLOCK_ROWS)]
+        assert np.array_equal(np.vstack([a for a, _ in blocks]), n_a)
+        assert np.array_equal(np.vstack([b for _, b in blocks]), n_b)
 
 
 class TestEventMoments:
@@ -501,3 +517,19 @@ class TestEventFile:
         with pytest.raises(ValueError, match="non-unit"):
             EventSample(n_a=bad, n_b=good, seed=1, mother="eta_c", hyperon_a="A",
                         hyperon_b="B", alpha_a=0.5, alpha_b=0.5, spin_state="singlet")
+
+    def test_nan_rows_rejected(self):
+        nan_row = np.array([[math.nan, 0.0, 1.0]])
+        good = np.array([[0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-unit"):
+            EventSample(n_a=nan_row, n_b=good, seed=1, mother="eta_c", hyperon_a="A",
+                        hyperon_b="B", alpha_a=0.5, alpha_b=0.5, spin_state="singlet")
+
+    def test_nan_row_in_file_rejected(self, tmp_path):
+        path = tmp_path / "events.txt"
+        save_events(path, sample_pair_decay(SIGMA_LIKE, 200, seed=59))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[-1] = "0 0 1 nan 0 1\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match="n_b holds non-unit"):
+            load_events(path)
