@@ -105,15 +105,6 @@ def load_catalog(path: str | Path) -> list[DecayMode]:
     return parse_catalog(p.read_text(encoding="utf-8"), source=str(p))
 
 
-def serialize_catalog(modes: list[DecayMode]) -> str:
-    """Canonical text form: one mode per line, fixed column order."""
-    lines = ["# columns: hyperon channel alpha alpha_uncertainty cp_conjugate"]
-    for m in modes:
-        cp = m.cp_conjugate if m.cp_conjugate is not None else "-"
-        lines.append(f"{m.hyperon} {m.channel} {m.alpha!r} {m.alpha_uncertainty!r} {cp}")
-    return "\n".join(lines) + "\n"
-
-
 def catalog_sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 

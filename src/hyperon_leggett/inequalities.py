@@ -21,8 +21,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .geometry import TripleSettings, validate_flipped_settings, validate_settings
-from .povm import MeasurementParams, mean_polarization
-from .quantum import Direction
+from .povm import MeasurementParams, _check_outcome
 
 EPairs = Sequence[tuple[float, float]]
 
@@ -61,12 +60,6 @@ def _check_probability(name: str, p: float) -> float:
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ValueError(f"{name} = {p!r} is not a probability")
     return p
-
-
-def _check_outcome(name: str, s: int) -> int:
-    if s not in (1, -1):
-        raise ValueError(f"{name} must be +1 or -1, got {s!r}")
-    return s
 
 
 def ch_povm_lhs(p_ab: float, p_abp: float, p_apb: float, p_apbp: float,
@@ -214,49 +207,3 @@ def leggett_sum_curve(phi, alpha_a: float, alpha_b: float):
              + (2.0 * abs(alpha_b) / 3.0) * np.abs(np.sin(0.5 * phi)))
     return curve if curve.ndim else float(curve)
 
-
-def _coplanar(theta_deg: float) -> Direction:
-    t = math.radians(theta_deg)
-    return Direction.normalized(math.sin(t), 0.0, math.cos(t))
-
-
-def tsirelson_settings() -> tuple[Direction, Direction, Direction, Direction]:
-    """Co-planar directions (x-z plane at 0, 90, 45, 135 degrees) maximizing the
-    correlation-function combination for the anticorrelated pair state."""
-    return (_coplanar(0.0), _coplanar(90.0), _coplanar(45.0), _coplanar(135.0))
-
-
-def ch_optimal_settings() -> tuple[Direction, Direction, Direction, Direction, int, int]:
-    """Co-planar optimum (a, a', b, b', j, k) of the joint-probability bound.
-
-    Uses the same 0/90/45/135-degree directions as tsirelson_settings.  The
-    anticorrelated pair state peaks there for the mixed outcome pair
-    (j, k) = (+1, -1); picking (+1, +1) instead would need b and b' negated.
-    """
-    a, ap, b, bp = tsirelson_settings()
-    return (a, ap, b, bp, 1, -1)
-
-
-def local_model_correlation(u: Direction, v: Direction,
-                            pa: MeasurementParams, pb: MeasurementParams,
-                            a: Direction, b: Direction) -> float:
-    """Correlation of the reference local model with definite polarizations (u, v).
-
-    Each side responds independently with mean eta + alpha cos (the
-    generalized cosine law), so the correlation is the product of the two
-    means.  Mixtures of such models satisfy all three bounds in this module;
-    the negative-control tests rely on that.
-    """
-    return mean_polarization(u, pa, a) * mean_polarization(v, pb, b)
-
-
-def local_model_joint_probability(u: Direction, v: Direction,
-                                  pa: MeasurementParams, pb: MeasurementParams,
-                                  a: Direction, b: Direction,
-                                  j: int, k: int) -> float:
-    """Joint outcome probability of the reference local model (product form)."""
-    _check_outcome("j", j)
-    _check_outcome("k", k)
-    p_j = 0.5 * (1.0 + j * mean_polarization(u, pa, a))
-    p_k = 0.5 * (1.0 + k * mean_polarization(v, pb, b))
-    return p_j * p_k

@@ -22,10 +22,10 @@ from .quantum import IDENTITY_2, Direction, is_density_matrix, pauli_dot
 _PARAM_TOL = 1e-12
 
 
-def _check_outcome(outcome: int) -> int:
-    if outcome not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    return outcome
+def _check_outcome(name: str, s: int) -> int:
+    if s not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1, got {s!r}")
+    return s
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class MeasurementParams:
 
 def povm_element(params: MeasurementParams, n: Direction, outcome: int) -> np.ndarray:
     """Measurement operator ((1 + s*eta) + s*alpha*sigma.n)/2 for outcome s."""
-    s = _check_outcome(outcome)
+    s = _check_outcome("outcome", outcome)
     return 0.5 * ((1.0 + s * params.eta) * IDENTITY_2 + s * params.alpha * pauli_dot(n))
 
 
@@ -108,7 +108,7 @@ def decay_kraus(amps: DecayAmplitudes, n: Direction, outcome: int) -> np.ndarray
     alpha_from_amplitudes(amps), and the pair is complete: the two products
     sum to the identity.
     """
-    s = _check_outcome(outcome)
+    s = _check_outcome("outcome", outcome)
     s_w, p_w = complex(amps.s_wave), complex(amps.p_wave)
     norm = math.sqrt(2.0 * (abs(s_w) ** 2 + abs(p_w) ** 2))
     return (s_w * IDENTITY_2 + (s * p_w) * pauli_dot(n)) / norm

@@ -99,10 +99,6 @@ def _unit_from_uniforms(u_cos: np.ndarray, u_psi: np.ndarray) -> np.ndarray:
     return np.column_stack([s * np.cos(psi), s * np.sin(psi), c])
 
 
-def _random_unit(n: int, rng: np.random.Generator) -> np.ndarray:
-    return _unit_from_uniforms(rng.random(n), rng.random(n))
-
-
 def _flip_about_axes(axes: np.ndarray, alpha: float, w: np.ndarray,
                      u_flip: np.ndarray) -> np.ndarray:
     """Directions with density (1 + alpha * axis.n)/(4 pi), one per axis row, from
@@ -110,22 +106,6 @@ def _flip_about_axes(axes: np.ndarray, alpha: float, w: np.ndarray,
     reversed elsewhere, in place."""
     flip = u_flip >= 0.5 * (1.0 + alpha * row_dot(axes, w))
     return np.negative(w, out=w, where=flip[:, None])
-
-
-def _sample_about_axes(axes: np.ndarray, alpha: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    w = _random_unit(axes.shape[0], rng)
-    return _flip_about_axes(axes, alpha, w, rng.random(axes.shape[0]))
-
-
-def sample_single_decays(u: Direction, alpha: float, n_events: int, seed: int) -> np.ndarray:
-    """(n_events, 3) array of daughter directions from a polarized decay."""
-    if not -1.0 <= alpha <= 1.0:
-        raise ValueError(f"|alpha| must not exceed 1, got {alpha!r}")
-    if n_events < 1:
-        raise ValueError("n_events must be at least 1")
-    axes = np.broadcast_to(u.as_array(), (n_events, 3))
-    return _sample_about_axes(axes, alpha, _generator(seed))
 
 
 @dataclass(frozen=True)
@@ -154,6 +134,8 @@ class EventSample:
             arr = np.asarray(getattr(self, name), dtype=float).view()
             if arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError(f"{name} must have shape (N, 3)")
+            if len(arr) == 0:
+                raise ValueError(f"{name} holds no events")
             _check_unit_rows(name, arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -492,6 +474,8 @@ def load_events(path: str | Path) -> EventSample:
     missing = [key for key in (*_PROVENANCE_FIELDS, "n_events") if key not in meta]
     if missing:
         raise ValueError(f"{p}: missing header fields {missing}")
+    if int(meta["n_events"]) < 1:
+        raise ValueError(f"{p}: holds no events (n_events {meta['n_events']})")
     data = np.loadtxt(p, comments="#", ndmin=2)
     if data.shape != (int(meta["n_events"]), 6):
         raise ValueError(f"{p}: expected {meta['n_events']} rows of 6 columns, "

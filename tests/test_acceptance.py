@@ -22,9 +22,10 @@ from hyperon_leggett import (MeasurementParams,
                              triplet_m0_state, validate_settings)
 from hyperon_leggett.catalog import find_mode
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME
-from hyperon_leggett.inequalities import ch_povm_lhs, tsirelson_settings
+from hyperon_leggett.inequalities import ch_povm_lhs
 
-from conftest import random_direction, random_params, setting_directions
+from conftest import (random_direction, random_params, setting_directions,
+                      tsirelson_settings)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

@@ -8,11 +8,10 @@ from hyperon_leggett import (DecayMode, ProductionChannel,
                              default_catalog_path, leggett_sum_lhs, load_catalog,
                              make_pair_channel)
 from hyperon_leggett.catalog import (CATALOG_ENV_VAR, catalog_sha256,
-                                     channel_spin_state, find_mode,
-                                     parse_catalog, serialize_catalog)
+                                     channel_spin_state, find_mode, parse_catalog)
 from hyperon_leggett.quantum import Z_AXIS
 
-from conftest import random_direction, setting_directions
+from conftest import random_direction, serialize_catalog, setting_directions
 
 
 @pytest.fixture

@@ -11,13 +11,11 @@ from hyperon_leggett import (MeasurementParams, build_settings, ch_povm_lhs,
                              leggett_violation_condition, optimal_phi,
                              symmetric_alpha_threshold)
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
-from hyperon_leggett.inequalities import (InequalityReport, ch_optimal_settings,
-                                          local_model_correlation,
-                                          local_model_joint_probability,
-                                          tsirelson_settings)
+from hyperon_leggett.inequalities import InequalityReport
 
-from conftest import (random_direction, random_params, random_rotation, rotated,
-                      setting_directions)
+from conftest import (ch_optimal_settings, local_model_correlation,
+                      local_model_joint_probability, random_direction, random_params,
+                      random_rotation, rotated, setting_directions, tsirelson_settings)
 
 SHARP = MeasurementParams.sharp()
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hyperon_leggett import (DecayMode, Direction, MeasurementParams, ProductionChannel,
                              build_settings, leggett_sum_lhs, load_events,
                              sample_pair_decay, save_events)
-from hyperon_leggett.catalog import MOTHERS, parse_catalog, serialize_catalog
+from hyperon_leggett.catalog import MOTHERS, parse_catalog
 from hyperon_leggett.correlations import (correlation_singlet, correlation_triplet_m0,
                                           correlation_via_operators, joint_prob_matrix,
                                           joint_prob_singlet, pair_correlation)
@@ -23,7 +23,8 @@ from hyperon_leggett.inequalities import leggett_sum_value
 from hyperon_leggett.quantum import singlet_state, triplet_m0_state
 from hyperon_leggett.simulation import _PROVENANCE_FIELDS, _format_rows
 
-from conftest import percent_rows, random_rotation, rotated, setting_directions
+from conftest import (percent_rows, random_rotation, rotated, serialize_catalog,
+                      setting_directions)
 
 phis = st.floats(min_value=0.0, max_value=math.pi, exclude_min=True)
 alphas = st.floats(min_value=-1.0, max_value=1.0)

@@ -16,12 +16,11 @@ from hyperon_leggett.catalog import channel_correlation
 from hyperon_leggett.quantum import Direction
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
 from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _format_rows, _generator,
-                                        _random_unit, _sample_about_axes,
                                         event_moments, pair_blocks,
-                                        sample_single_decays,
                                         spin_correlation_matrix)
 
-from conftest import percent_rows, random_direction, random_rotation, rotated
+from conftest import (_random_unit, _sample_about_axes, percent_rows, random_direction,
+                      random_rotation, rotated, sample_single_decays)
 
 
 def _channel(alpha_a=0.98, alpha_b=0.98, mother="eta_c"):
@@ -532,4 +531,20 @@ class TestEventFile:
         lines[-1] = "0 0 1 nan 0 1\n"
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match="n_b holds non-unit"):
+            load_events(path)
+
+    def test_empty_sample_rejected(self):
+        empty = np.empty((0, 3))
+        with pytest.raises(ValueError, match="n_a holds no events"):
+            EventSample(n_a=empty, n_b=empty, seed=1, mother="eta_c", hyperon_a="A",
+                        hyperon_b="B", alpha_a=0.5, alpha_b=0.5, spin_state="singlet")
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "events.txt"
+        save_events(path, sample_pair_decay(SIGMA_LIKE, 200, seed=60))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = "".join(line for line in lines if line.startswith("# "))
+        path.write_text(header.replace("# n_events 200\n", "# n_events 0\n"), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"holds no events \(n_events 0\)"):
             load_events(path)
