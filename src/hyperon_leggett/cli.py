@@ -19,7 +19,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence, TextIO
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -153,23 +153,35 @@ def _emit_json(payload: Mapping[str, Any], out: str | None) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_row_blocks(fh: TextIO, row_format: str, columns: Sequence[np.ndarray]) -> None:
-    """Write the rows of ``columns`` ((N,) or (N, k) arrays, stacked as floats)
-    as ``row_format % row``, one ``%`` per block, never holding the whole text."""
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
-        fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+def _formatted_once(values: np.ndarray) -> np.ndarray:
+    """The ``%r`` text of each of ``values``, as an object array of strings that the
+    cells repeating a value share."""
+    return np.array([repr(v) for v in values.tolist()], dtype=object)
 
 
-def _emit_csv(result: ScanResult, header_order: Sequence[str], out: str | None) -> None:
-    cols = [result.columns[name] for name in header_order]
-    # %r is the shortest exact round trip of a float; flags print as 0/1.
-    row_format = ",".join("%d" if col.dtype == bool else "%r" for col in cols) + "\n"
+_FLAG_TEXT = np.array(["0", "1"], dtype=object)
+
+
+def _emit_csv(result: ScanResult, header_order: Sequence[str], out: str | None,
+              text: Mapping[str, np.ndarray]) -> None:
+    """Write the scan as CSV, one ``%`` per block of _BLOCK_ROWS rows, never holding
+    the whole text.  Float cells go through ``%r``, the shortest exact round trip.
+    ``text`` holds, for the columns that repeat a few values by construction, their
+    cells as shared strings from _formatted_once (of any shape, read in C order), so
+    each value is formatted once; flags print as the shared 0/1."""
+    cols = [text.get(name, result.columns[name]) for name in header_order]
+    row_format = ",".join("%r" if col.dtype == float else "%s" for col in cols) + "\n"
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
         for key, value in result.metadata.items():
             fh.write(f"# {key} {value}\n")
         fh.write(",".join(header_order) + "\n")
-        _write_row_blocks(fh, row_format, cols)
+        for start in range(0, cols[0].size, _BLOCK_ROWS):
+            blocks = [col.flat[start:start + _BLOCK_ROWS] for col in cols]
+            cells: list[Any] = [None] * (len(cols) * len(blocks[0]))
+            for k, block in enumerate(blocks):
+                cells[k::len(cols)] = (_FLAG_TEXT[block.view(np.uint8)] if block.dtype == bool
+                                       else block).tolist()
+            fh.write(row_format * len(blocks[0]) % tuple(cells))
 
 
 def cmd_predict(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -203,23 +215,29 @@ def cmd_scan_phi(args: argparse.Namespace, argv: Sequence[str]) -> int:
     resolved = _resolve_channel(args)
     phis = np.linspace(math.radians(args.phi_min_deg),
                        math.radians(args.phi_max_deg), args.steps)
-    e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa, resolved.pb,
-                                    *settings_arrays(phis))
-    lhs = leggett_sum_value(e + e_prime, resolved.pb.alpha, phis)
+    # Row-wise, so a block at a time gives the same bits with block-sized settings.
+    lhs = np.empty_like(phis)
+    for start in range(0, args.steps, _BLOCK_ROWS):
+        block = phis[start:start + _BLOCK_ROWS]
+        e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa,
+                                        resolved.pb, *settings_arrays(block))
+        lhs[start:start + _BLOCK_ROWS] = leggett_sum_value(e + e_prime, resolved.pb.alpha,
+                                                           block)
+    bound = np.broadcast_to(2.0, phis.shape)
     result = ScanResult(
         axes=("phi_rad",),
         columns={
             "phi_deg": np.degrees(phis),
             "phi_rad": phis,
             "lhs": lhs,
-            "bound": np.full(args.steps, 2.0),
+            "bound": bound,
             "margin": lhs - 2.0,
             "violated": lhs > 2.0,
         },
         bound=2.0,
         metadata=_metadata(argv, resolved.provenance()))
     _emit_csv(result, ("phi_deg", "phi_rad", "lhs", "bound", "margin", "violated"),
-              args.out)
+              args.out, text={"bound": np.broadcast_to(_formatted_once(bound[:1]), phis.shape)})
     return 0
 
 
@@ -229,20 +247,22 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if not 0.0 <= args.alpha_min < args.alpha_max <= 1.0:
         raise ValueError("need 0 <= --alpha-min < --alpha-max <= 1")
     grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
-    alpha_a = np.repeat(grid, args.steps)
-    alpha_b = np.tile(grid, args.steps)
     result = ScanResult(
         axes=("alpha_a", "alpha_b"),
-        columns={"alpha_a": alpha_a, "alpha_b": alpha_b,
-                 "lhs": leggett_max_lhs(alpha_a, alpha_b),
-                 "violated": leggett_violation_condition(alpha_a, alpha_b)},
+        columns={"alpha_a": np.repeat(grid, args.steps), "alpha_b": np.tile(grid, args.steps),
+                 "lhs": leggett_max_lhs(grid[:, None], grid).ravel(),
+                 "violated": leggett_violation_condition(grid[:, None], grid).ravel()},
         bound=2.0,
         metadata=_metadata(argv, {
             "bound": 2.0,
             "boundary": "(alpha_a^2 + 1/9) * alpha_b^2 = 1",
             "symmetric_alpha_threshold": symmetric_alpha_threshold(),
         }))
-    _emit_csv(result, ("alpha_a", "alpha_b", "lhs", "violated"), args.out)
+    grid_text = _formatted_once(grid)
+    shape = (args.steps, args.steps)  # rows in C order: alpha_a slow, alpha_b fast
+    _emit_csv(result, ("alpha_a", "alpha_b", "lhs", "violated"), args.out,
+              text={"alpha_a": np.broadcast_to(grid_text[:, None], shape),
+                    "alpha_b": np.broadcast_to(grid_text, shape)})
     return 0
 
 

@@ -474,11 +474,18 @@ def load_events(path: str | Path) -> EventSample:
     missing = [key for key in (*_PROVENANCE_FIELDS, "n_events") if key not in meta]
     if missing:
         raise ValueError(f"{p}: missing header fields {missing}")
-    if int(meta["n_events"]) < 1:
+    fields: dict[str, Any] = dict(meta)
+    for key, kind, noun in (("n_events", int, "an integer"), ("seed", int, "an integer"),
+                            ("alpha_a", float, "a number"), ("alpha_b", float, "a number")):
+        try:
+            fields[key] = kind(meta[key])
+        except ValueError:
+            raise ValueError(f"{p}: header field {key} is not {noun}: {meta[key]!r}") from None
+    if fields["n_events"] < 1:
         raise ValueError(f"{p}: holds no events (n_events {meta['n_events']})")
     data = np.loadtxt(p, comments="#", ndmin=2)
-    if data.shape != (int(meta["n_events"]), 6):
+    if data.shape != (fields["n_events"], 6):
         raise ValueError(f"{p}: expected {meta['n_events']} rows of 6 columns, "
                          f"got {data.shape}")
     return EventSample(n_a=data[:, :3], n_b=data[:, 3:],
-                       **{key: meta[key] for key in _PROVENANCE_FIELDS})
+                       **{key: fields[key] for key in _PROVENANCE_FIELDS})

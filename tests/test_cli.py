@@ -11,7 +11,10 @@ from hyperon_leggett import geometry, sample_pair_decay, save_events
 from hyperon_leggett.catalog import (catalog_sha256, default_catalog_path, load_catalog,
                                      make_pair_channel)
 from hyperon_leggett.cli import ScanResult, main
-from hyperon_leggett.inequalities import leggett_max_lhs, leggett_violation_condition
+from hyperon_leggett.correlations import pair_correlation
+from hyperon_leggett.inequalities import (leggett_max_lhs, leggett_sum_value,
+                                          leggett_violation_condition)
+from hyperon_leggett.povm import MeasurementParams
 from hyperon_leggett.simulation import _BLOCK_ROWS
 
 
@@ -19,6 +22,19 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def data_rows(out):
+    return [line for line in out.splitlines() if not line.startswith("#")][1:]
+
+
+def region_rows(grid):
+    """The scan-region rows of ``grid``, from whole arrays with repr per cell."""
+    alpha_a, alpha_b = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+    lhs = leggett_max_lhs(alpha_a, alpha_b)
+    violated = leggett_violation_condition(alpha_a, alpha_b)
+    return [",".join([repr(float(a)), repr(float(b)), repr(float(v)), str(int(f))])
+            for a, b, v, f in zip(alpha_a, alpha_b, lhs, violated)]
 
 
 def count_validations(monkeypatch):
@@ -190,6 +206,23 @@ class TestScanPhi:
         assert out == ""
         assert "invalid measurement parameters" in err
 
+    def test_csv_bytes_across_block_boundary(self, capsys):
+        steps = 5000
+        assert _BLOCK_ROWS < steps and steps % _BLOCK_ROWS
+        code, out, _ = run(["scan-phi", "--alpha-a", "0.98", "--alpha-b", "-0.98",
+                            "--steps", str(steps)], capsys)
+        assert code == 0
+        phis = np.linspace(math.radians(0.1), math.radians(180.0), steps)
+        a, b, b_prime = geometry.settings_arrays(phis)
+        pa, pb = MeasurementParams(0.0, 0.98), MeasurementParams(0.0, -0.98)
+        lhs = leggett_sum_value(pair_correlation("singlet", pa, a, pb, b)
+                                + pair_correlation("singlet", pa, a, pb, b_prime), -0.98, phis)
+        assert lhs.min() < 2.0 < lhs.max()
+        expected = [",".join([repr(d), repr(p), repr(v), repr(2.0), repr(v - 2.0),
+                              str(int(v > 2.0))])
+                    for d, p, v in zip(np.degrees(phis).tolist(), phis.tolist(), lhs.tolist())]
+        assert data_rows(out) == expected
+
     def test_performance_budget(self, capsys):
         start = time.perf_counter()
         code, out, _ = run(["scan-phi", "--channel", "SigmaPlus", "--steps", "10000"], capsys)
@@ -225,14 +258,17 @@ class TestScanRegion:
         assert _BLOCK_ROWS < steps * steps and (steps * steps) % _BLOCK_ROWS
         code, out, _ = run(["scan-region", "--steps", str(steps)], capsys)
         assert code == 0
-        data_rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
-        grid = np.linspace(0.0, 1.0, steps)
-        alpha_a, alpha_b = np.repeat(grid, steps), np.tile(grid, steps)
-        lhs = leggett_max_lhs(alpha_a, alpha_b)
-        violated = leggett_violation_condition(alpha_a, alpha_b)
-        expected = [",".join([repr(float(a)), repr(float(b)), repr(float(v)), str(int(f))])
-                    for a, b, v, f in zip(alpha_a, alpha_b, lhs, violated)]
-        assert data_rows == expected
+        assert data_rows(out) == region_rows(np.linspace(0.0, 1.0, steps))
+
+    def test_grid_text_at_signed_zero_and_endpoints(self, capsys):
+        # Each grid value is formatted once and shared by its rows: the text must still
+        # be repr's at -0.0 and at the exact endpoints.
+        code, out, _ = run(["scan-region", "--alpha-min", "-0.0", "--alpha-max", "1.0",
+                            "--steps", "65"], capsys)
+        assert code == 0
+        rows = data_rows(out)
+        assert rows == region_rows(np.linspace(-0.0, 1.0, 65))
+        assert rows[-1].startswith("1.0,1.0,")
 
 
 class TestScanResult:

@@ -1,7 +1,10 @@
 """Property tests: the array path that the scans use against the scalar path, the
 closed forms against the 4x4 matrix path, the invariances of the settings layout,
-and exact text round trips of the catalog and of event files."""
+exact text round trips of the catalog and of event files, and the scan CSV against
+per-row ``%r`` formatting."""
 
+import contextlib
+import io
 import math
 import string
 import tempfile
@@ -14,6 +17,7 @@ from hyperon_leggett import (DecayMode, Direction, MeasurementParams, Production
                              build_settings, leggett_sum_lhs, load_events,
                              sample_pair_decay, save_events)
 from hyperon_leggett.catalog import MOTHERS, parse_catalog
+from hyperon_leggett.cli import ScanResult, _emit_csv, _formatted_once
 from hyperon_leggett.correlations import (correlation_singlet, correlation_triplet_m0,
                                           correlation_via_operators, joint_prob_matrix,
                                           joint_prob_singlet, pair_correlation)
@@ -21,7 +25,7 @@ from hyperon_leggett.geometry import (DEFAULT_AXES, DEFAULT_FRAME, flip_b_prime,
                                       settings_arrays, settings_from_text, settings_to_text)
 from hyperon_leggett.inequalities import leggett_sum_value
 from hyperon_leggett.quantum import singlet_state, triplet_m0_state
-from hyperon_leggett.simulation import _PROVENANCE_FIELDS, _format_rows
+from hyperon_leggett.simulation import _BLOCK_ROWS, _PROVENANCE_FIELDS, _format_rows
 
 from conftest import (percent_rows, random_rotation, rotated, serialize_catalog,
                       setting_directions)
@@ -172,3 +176,35 @@ def test_events_text_round_trip_is_exact(mother, name_a, alpha_a, name_b, alpha_
 def test_event_text_matches_percent_format(rows):
     rows = np.array(rows, dtype=float)
     assert _format_rows(rows) == percent_rows(rows)
+
+
+# Finite doubles with the signed zeros and the subnormal and normal extremes drawn often.
+finite_cells = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+     1.7976931348623157e308])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(finite_cells, min_size=1, max_size=12),
+       st.sampled_from([1, 7, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                        2 * _BLOCK_ROWS + 3]),
+       st.integers(0, 2**32 - 1))
+def test_scan_csv_matches_percent_format(pool, n_rows, seed):
+    # Columns draw their cells from a small pool, so values repeat, as scan grids do;
+    # one is written through its formatted-once text.
+    rng = np.random.default_rng(seed)
+    values = np.array(pool)
+    x, y = values[rng.integers(len(values), size=(2, n_rows))]
+    codes = rng.integers(len(values), size=n_rows)
+    flags = rng.random(n_rows) < 0.5
+    result = ScanResult(axes=("row",), columns={"row": np.arange(n_rows, dtype=float),
+                                                "x": x, "y": y, "picked": values[codes],
+                                                "flag": flags},
+                        bound=2.0, metadata={})
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit_csv(result, ("row", "x", "picked", "y", "flag"), None,
+                  text={"picked": _formatted_once(values)[codes]})
+    expected = ["row,x,picked,y,flag\n", *("%r,%r,%r,%r,%d\n" % row for row in zip(
+        result.columns["row"].tolist(), x.tolist(), values[codes].tolist(), y.tolist(),
+        flags.tolist()))]
+    assert out.getvalue().splitlines(keepends=True) == expected

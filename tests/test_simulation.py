@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -493,6 +494,20 @@ class TestEventFile:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="seed"):
             load_events(path)
+
+    @pytest.mark.parametrize("field, value, noun", [("n_events", "2e2", "an integer"),
+                                                    ("seed", "x1", "an integer"),
+                                                    ("alpha_a", "abc", "a number"),
+                                                    ("alpha_b", "0.5.1", "a number")])
+    def test_malformed_header_number_rejected(self, tmp_path, field, value, noun):
+        path = tmp_path / "events.txt"
+        save_events(path, sample_pair_decay(SIGMA_LIKE, 200, seed=54))
+        text = re.sub(rf"^# {field} .*$", f"# {field} {value}",
+                      path.read_text(encoding="utf-8"), count=1, flags=re.MULTILINE)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_events(path)
+        assert str(exc.value) == f"{path}: header field {field} is not {noun}: '{value}'"
 
     def test_unknown_spin_state_in_header_rejected(self, tmp_path):
         sample = sample_pair_decay(SIGMA_LIKE, 200, seed=55)
