@@ -44,7 +44,9 @@ TOOL = "hyperon-leggett"
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Grid scan output: axis columns plus derived columns, ready for CSV."""
+    """Grid scan output: axis columns plus derived columns, ready for CSV.  The
+    columns share one shape and their rows are read in C order, so a column may be
+    a broadcast view that repeats a grid."""
 
     axes: tuple[str, ...]
     columns: dict[str, np.ndarray]
@@ -52,9 +54,9 @@ class ScanResult:
     metadata: dict[str, Any]
 
     def __post_init__(self) -> None:
-        lengths = {name: len(col) for name, col in self.columns.items()}
-        if len(set(lengths.values())) != 1:
-            raise ValueError(f"scan columns differ in length: {lengths}")
+        shapes = {name: col.shape for name, col in self.columns.items()}
+        if len(set(shapes.values())) != 1:
+            raise ValueError(f"scan columns differ in shape: {shapes}")
         for axis in self.axes:
             if axis not in self.columns:
                 raise ValueError(f"axis column {axis!r} missing from scan columns")
@@ -68,12 +70,17 @@ class ScanResult:
 
 
 def _lexicographically_sorted(axis_columns: Sequence[np.ndarray]) -> bool:
-    undecided = np.ones(len(axis_columns[0]), dtype=bool)[1:]  # row pairs tied so far
-    for col in axis_columns:
-        prev, cur = col[:-1], col[1:]
-        if np.any(undecided & (cur < prev)):
-            return False
-        undecided &= ~(cur > prev)
+    """Whether the rows, read in C order, are sorted by the columns in turn.  Each
+    column is viewed as (len, -1) cells, whose consecutive pairs lie within a row or
+    across two rows, so a broadcast column is compared without being expanded."""
+    grids = [col.reshape(len(col), -1) for col in axis_columns]
+    tied = [np.ones(grids[0][:, 1:].shape, dtype=bool), np.ones(len(grids[0]) - 1, dtype=bool)]
+    for grid in grids:
+        for undecided, prev, cur in zip(tied, (grid[:, :-1], grid[:-1, -1]),
+                                        (grid[:, 1:], grid[1:, 0])):
+            if np.any(undecided & (cur < prev)):
+                return False
+            undecided &= ~(cur > prev)
     return True
 
 
@@ -247,11 +254,13 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if not 0.0 <= args.alpha_min < args.alpha_max <= 1.0:
         raise ValueError("need 0 <= --alpha-min < --alpha-max <= 1")
     grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
+    shape = (args.steps, args.steps)  # rows in C order: alpha_a slow, alpha_b fast
     result = ScanResult(
         axes=("alpha_a", "alpha_b"),
-        columns={"alpha_a": np.repeat(grid, args.steps), "alpha_b": np.tile(grid, args.steps),
-                 "lhs": leggett_max_lhs(grid[:, None], grid).ravel(),
-                 "violated": leggett_violation_condition(grid[:, None], grid).ravel()},
+        columns={"alpha_a": np.broadcast_to(grid[:, None], shape),
+                 "alpha_b": np.broadcast_to(grid, shape),
+                 "lhs": leggett_max_lhs(grid[:, None], grid),
+                 "violated": leggett_violation_condition(grid[:, None], grid)},
         bound=2.0,
         metadata=_metadata(argv, {
             "bound": 2.0,
@@ -259,7 +268,6 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
             "symmetric_alpha_threshold": symmetric_alpha_threshold(),
         }))
     grid_text = _formatted_once(grid)
-    shape = (args.steps, args.steps)  # rows in C order: alpha_a slow, alpha_b fast
     _emit_csv(result, ("alpha_a", "alpha_b", "lhs", "violated"), args.out,
               text={"alpha_a": np.broadcast_to(grid_text[:, None], shape),
                     "alpha_b": np.broadcast_to(grid_text, shape)})

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping
@@ -42,6 +43,7 @@ import numpy as np
 
 from .catalog import ProductionChannel, channel_spin_state
 from .correlations import a_side_inversion, spin_correlation_diagonal
+from .eventtext import _format_rows, _read_rows
 from .geometry import TripleSettings, validate_settings
 from .inequalities import leggett_sum_value
 from .quantum import PAULI, Direction, expectation, row_dot, tensor
@@ -312,100 +314,6 @@ def leggett_lhs_from_moments(moments: Moments, settings: TripleSettings, seed: i
                            method=method)
 
 
-def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp split: v = hi + lo exactly, each half with at most 26 significant bits."""
-    t = v * 134217729.0  # 2**27 + 1
-    hi = t - (t - v)
-    return hi, v - hi
-
-
-# 10**(17 + z) for z zeros after "0.": exact doubles.
-_SCALES = np.array([1e17, 1e18, 1e19, 1e20])
-
-
-@functools.cache
-def _group_words() -> np.ndarray:
-    """The "%04d" text of each 4-digit group, then the same with trailing zeros as NUL
-    bytes (0 is all NUL) for the last groups of a number: one native uint32 word each.
-    Built on first use, so commands that write no events neither build it nor hold it."""
-    place = np.array([1000, 100, 10, 1], dtype=np.uint16)
-    digits = (np.arange(10000, dtype=np.uint16)[:, None] // place % 10
-              + ord("0")).astype(np.uint8)
-    trailing = np.logical_and.accumulate(digits[:, ::-1] == ord("0"), axis=1)[:, ::-1]
-    stripped = np.where(trailing, 0, digits).astype(np.uint8)
-    words = np.concatenate([digits, stripped]).view(np.uint32).ravel()
-    words.setflags(write=False)
-    return words
-
-
-# Sign, "0.", z zeros and the leading digit, at index 40 sign + 10 z + digit: two words.
-_HEAD_WORDS = np.frombuffer(b"".join(
-    (b"-" if negative else b"\0") + b"0." + (b"0" * z).ljust(3, b"\0") + b"%d\0" % digit
-    for negative in (0, 1) for z in range(4) for digit in range(10)),
-    dtype=np.uint32).reshape(-1, 2)
-_SEPARATOR_WORDS = np.frombuffer(b" \0\0\0" * 5 + b"\n\0\0\0", dtype=np.uint32)
-
-
-def _significant_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The zeros z after "0." and D = round-half-even(a 10**(17 + z)), the 17
-    significant digits as an int64, of each a in [1e-4, 1), exactly.
-
-    The decade comparisons are exact, as each of 0.1, 0.01, 0.001 and 1e-4 as a
-    double lies just above its power of ten.  Dekker's two-product (Numer. Math. 18,
-    1971) gives a 10**(17 + z) = p + e exactly, with p an even integer >= 2**53, so
-    p + np.rint(e) rounds a tie to even.
-    """
-    z = ((a < 0.1).view(np.int8) + (a < 0.01).view(np.int8)
-         + (a < 0.001).view(np.int8)).astype(np.intp)
-    scale = _SCALES[z]
-    p = a * scale
-    a_hi, a_lo = _split(a)
-    s_hi, s_lo = _split(scale)
-    e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
-    return z, p.astype(np.int64) + np.rint(e).astype(np.int64)
-
-
-def _format_rows(rows: np.ndarray) -> bytes:
-    """The bytes of ``"%.17g %.17g %.17g %.17g %.17g %.17g\\n" % row`` for each row
-    of a (k, 6) float array, formatted in whole-array operations.
-
-    A value x with |x| in [1e-4, 1) is written as its sign, "0.", z zeros and the 17
-    digits of _significant_digits without trailing zeros, in seven words with NUL
-    for the bytes it does not use; the NULs are removed at the end.  Other values
-    (0, +-1, the exponent form, non-finite) take "%.17g" itself, at most 24 bytes.
-    """
-    x = rows.ravel()
-    a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1.0)
-    a[~fast] = 0.5
-    z, digits = _significant_digits(a)
-    fast &= (digits >= 10 ** 16) & (digits < 10 ** 17)
-    # 1 + 16 digits: lead, then the groups g1 g2 (of hi) and g3 g4 (of lo).
-    hi = digits // 10 ** 8
-    lo = (digits - hi * 10 ** 8).astype(np.int32)
-    lead = hi // 10 ** 8
-    hi = (hi - lead * 10 ** 8).astype(np.int32)
-    g1 = hi // 10 ** 4
-    g2 = hi - g1 * 10 ** 4
-    g3 = lo // 10 ** 4
-    g4 = lo - g3 * 10 ** 4
-    words = np.empty((x.size, 7), dtype=np.uint32)
-    words[:, :2] = _HEAD_WORDS[lead + 10 * z + 40 * (x < 0)]
-    # A group followed by zero groups only takes its stripped form.
-    groups = _group_words()
-    lo_zero = lo == 0
-    words[:, 2] = groups[g1 + 10000 * (lo_zero & (g2 == 0))]
-    words[:, 3] = groups[g2 + 10000 * lo_zero]
-    words[:, 4] = groups[g3 + 10000 * (g4 == 0)]
-    words[:, 5] = groups[g4 + 10000]
-    words.reshape(-1, 6, 7)[:, :, 6] = _SEPARATOR_WORDS
-    text = words.view(np.uint8)
-    slow = np.flatnonzero(~fast)
-    text[slow, :24] = np.array([b"%.17g" % v for v in x[slow].tolist()],
-                               dtype="S24").view(np.uint8).reshape(-1, 24)
-    return text.tobytes().translate(None, b"\0")
-
-
 def _events_header(provenance: Mapping[str, Any], n_events: int) -> bytes:
     lines = [_EVENTS_FORMAT, *(f"{key} {provenance[key]}" for key in _PROVENANCE_FIELDS),
              f"n_events {n_events}", "columns nax nay naz nbx nby nbz"]
@@ -460,32 +368,47 @@ def write_pair_events(fh: BinaryIO, channel: ProductionChannel, n_events: int, s
 
 
 def load_events(path: str | Path) -> EventSample:
+    """The EventSample of an events file that save_events wrote.  The body is six
+    numbers per line, separated by single spaces, each line ended by "\\n"; any other
+    body is refused with the file and line named."""
     p = Path(path)
     meta: dict[str, str] = {}
-    with p.open(encoding="utf-8") as fh:
-        first = fh.readline().strip()
+    with p.open("rb") as fh:
+        first = fh.readline().decode("utf-8", errors="replace").strip()
         if first != f"# {_EVENTS_FORMAT}":
             raise ValueError(f"{p}: unrecognized events file (header {first!r})")
-        for line in fh:
-            if not line.startswith("# "):
+        header_lines = 1
+        while True:
+            body_start = fh.tell()
+            line = fh.readline()
+            if not line.startswith(b"# "):
+                fh.seek(body_start)
                 break
-            key, _, value = line[2:].strip().partition(" ")
+            header_lines += 1
+            try:
+                key, _, value = line[2:].decode("utf-8").strip().partition(" ")
+            except UnicodeDecodeError:
+                raise ValueError(f"{p}: line {header_lines}: header is not UTF-8 text") from None
             meta[key] = value
-    missing = [key for key in (*_PROVENANCE_FIELDS, "n_events") if key not in meta]
-    if missing:
-        raise ValueError(f"{p}: missing header fields {missing}")
-    fields: dict[str, Any] = dict(meta)
-    for key, kind, noun in (("n_events", int, "an integer"), ("seed", int, "an integer"),
-                            ("alpha_a", float, "a number"), ("alpha_b", float, "a number")):
-        try:
-            fields[key] = kind(meta[key])
-        except ValueError:
-            raise ValueError(f"{p}: header field {key} is not {noun}: {meta[key]!r}") from None
-    if fields["n_events"] < 1:
-        raise ValueError(f"{p}: holds no events (n_events {meta['n_events']})")
-    data = np.loadtxt(p, comments="#", ndmin=2)
-    if data.shape != (fields["n_events"], 6):
-        raise ValueError(f"{p}: expected {meta['n_events']} rows of 6 columns, "
-                         f"got {data.shape}")
+        missing = [key for key in (*_PROVENANCE_FIELDS, "n_events") if key not in meta]
+        if missing:
+            raise ValueError(f"{p}: missing header fields {missing}")
+        fields: dict[str, Any] = dict(meta)
+        for key, kind, noun in (("n_events", int, "an integer"), ("seed", int, "an integer"),
+                                ("alpha_a", float, "a number"), ("alpha_b", float, "a number")):
+            try:
+                fields[key] = kind(meta[key])
+            except ValueError:
+                raise ValueError(f"{p}: header field {key} is not {noun}: {meta[key]!r}") from None
+        n_events = fields["n_events"]
+        if n_events < 1:
+            raise ValueError(f"{p}: holds no events (n_events {meta['n_events']})")
+        # A row takes at least 12 bytes ("0 0 0 0 0 0\n"): refuse a count the body
+        # cannot hold before allocating for it.
+        body_bytes = os.fstat(fh.fileno()).st_size - body_start
+        if 12 * n_events > body_bytes:
+            raise ValueError(f"{p}: expected {n_events} rows of 6 columns, got "
+                             f"{body_bytes} bytes of rows")
+        data = _read_rows(fh, p, header_lines + 1, n_events)
     return EventSample(n_a=data[:, :3], n_b=data[:, 3:],
                        **{key: fields[key] for key in _PROVENANCE_FIELDS})

@@ -1,9 +1,10 @@
 """Property tests: the array path that the scans use against the scalar path, the
 closed forms against the 4x4 matrix path, the invariances of the settings layout,
-exact text round trips of the catalog and of event files, and the scan CSV against
-per-row ``%r`` formatting."""
+exact text round trips of the catalog and of event files, the event-text digit
+reader against int(), and the scan CSV against per-row ``%r`` formatting."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import string
@@ -11,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperon_leggett import (DecayMode, Direction, MeasurementParams, ProductionChannel,
                              build_settings, leggett_sum_lhs, load_events,
@@ -25,7 +26,8 @@ from hyperon_leggett.geometry import (DEFAULT_AXES, DEFAULT_FRAME, flip_b_prime,
                                       settings_arrays, settings_from_text, settings_to_text)
 from hyperon_leggett.inequalities import leggett_sum_value
 from hyperon_leggett.quantum import singlet_state, triplet_m0_state
-from hyperon_leggett.simulation import _BLOCK_ROWS, _PROVENANCE_FIELDS, _format_rows
+from hyperon_leggett.eventtext import _READ_BYTES, _format_rows, _read_rows, _token_digits
+from hyperon_leggett.simulation import _BLOCK_ROWS, _PROVENANCE_FIELDS
 
 from conftest import (percent_rows, random_rotation, rotated, serialize_catalog,
                       setting_directions)
@@ -176,6 +178,98 @@ def test_events_text_round_trip_is_exact(mother, name_a, alpha_a, name_b, alpha_
 def test_event_text_matches_percent_format(rows):
     rows = np.array(rows, dtype=float)
     assert _format_rows(rows) == percent_rows(rows)
+
+
+# Bytes that bound a digit run without being digits: "/" (0x2F) and ":" (0x3A) sit
+# on either side of "0"-"9", as a word-wide "- 0x30" that borrows across bytes misses.
+NOT_DIGITS = [b"/", b":", b".", b"-", b" ", b"\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.text(alphabet=string.digits, min_size=1, max_size=22),
+                          st.sampled_from(NOT_DIGITS), st.sampled_from(NOT_DIGITS),
+                          st.none() | st.tuples(st.integers(0, 21), st.sampled_from(NOT_DIGITS))),
+                min_size=1, max_size=20))
+def test_token_digits_match_int(tokens):
+    # The value check of load_events compares a candidate with these digits, so it
+    # cannot see digits read wrongly; they are checked here against int().  Bytes
+    # before the "0." are 9s, which the reader must not count.
+    text, ends, lengths, expected = bytearray(b"9" * 24), [], [], []
+    for digits, before, after, spoil in tokens:
+        digits = digits.encode()
+        if spoil and spoil[0] < len(digits):
+            digits = digits[:spoil[0]] + spoil[1] + digits[spoil[0] + 1:]
+        text += before + b"0." + digits
+        ends.append(len(text))
+        lengths.append(2 + len(digits))
+        text += after
+        # "0." and at most 20 digits, of which only the last 17 may be other than 0.
+        expected.append(int(digits) if digits.isdigit() and len(digits) <= 20
+                        and int(digits) < 10 ** 17 else None)
+    ok, m = _token_digits(np.frombuffer(bytes(text), dtype=np.uint8), np.array(ends),
+                          np.minimum(np.array(lengths), 23))
+    assert [int(v) if good else None for good, v in zip(ok, m)] == expected
+
+
+# Tokens of the form the reader parses itself, "0." and digits, with digits other
+# than "%.17g" writes too (trailing zeros, more than 17, more zeros after the point),
+# and tokens in other forms.
+body_tokens = (st.tuples(st.sampled_from(["", "-"]), st.text(string.digits, min_size=1,
+                                                              max_size=24)).map("0.".join)
+               | st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(body_tokens, min_size=6, max_size=6), min_size=1, max_size=30))
+def test_body_tokens_read_as_float(rows):
+    body = "".join(" ".join(row) + "\n" for row in rows).encode()
+    data = _read_rows(io.BytesIO(body), Path("body"), 1, len(rows))
+    expected = np.array([[float(token) for token in row] for row in rows])
+    assert np.array_equal(data.view(np.uint64), expected.view(np.uint64))
+
+
+# Direction components for the events text.  In every decade of [1e-4, 1), where
+# load_events parses the text itself: any value, and the "%.17g" rounding ties, odd
+# multiples of 2**-m with 18 significant digits.  Outside it, left to float():
+# signed zeros, +-1, exponent forms and subnormals.
+decade_values = st.integers(1, 4).flatmap(
+    lambda k: st.floats(10.0 ** -k, 10.0 ** (1 - k), exclude_max=True))
+rounding_ties = st.sampled_from([(18, 0.1), (19, 0.01), (20, 1e-3), (21, 1e-4)]).flatmap(
+    lambda m_low: st.integers(math.ceil(m_low[1] * 2 ** (m_low[0] - 1)),
+                              math.floor(10 * m_low[1] * 2 ** (m_low[0] - 1)) - 1).map(
+        lambda k: (2 * k + 1) / 2 ** m_low[0]))
+components = ((decade_values | rounding_ties).flatmap(lambda x: st.sampled_from([x, -x]))
+              | st.floats(-1e-4, 1e-4)
+              | st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 2.2250738585072009e-308,
+                                 1e-5, -9.9999999999999991e-05, 0.99999999999999989]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(components, components), min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_events_text_reads_back_bit_for_bit(values, seed):
+    # More rows than one read of the body; the drawn values go into rows on both sides
+    # of where the first read ends, and one row straddles it.
+    channel = ProductionChannel("eta_c", DecayMode("A", "x_y", 0.9, 0.0),
+                                DecayMode("B", "x_y", -0.9, 0.0))
+    sample = sample_pair_decay(channel, 600, seed)
+    n_a, n_b = sample.n_a.copy(), sample.n_b.copy()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.txt"
+        save_events(path, sample)
+        text = path.read_bytes()
+        body = text.index(b"# columns")
+        body = text.index(b"\n", body) + 1
+        first = text.count(b"\n", body, body + _READ_BYTES) - len(values) // 2
+        for row, (x, y) in enumerate(values, start=first):
+            n_a[row] = (x, -0.0 if row % 2 else 0.0, math.sqrt(1.0 - x * x))
+            n_b[row] = (0.0, y, -math.sqrt(1.0 - y * y))
+        save_events(path, dataclasses.replace(sample, n_a=n_a, n_b=n_b))
+        text = path.read_bytes()
+        assume(text[body + _READ_BYTES - 1] != ord("\n"))
+        loaded = load_events(path)
+    assert np.array_equal(loaded.n_a.view(np.uint64), n_a.view(np.uint64))
+    assert np.array_equal(loaded.n_b.view(np.uint64), n_b.view(np.uint64))
 
 
 # Finite doubles with the signed zeros and the subnormal and normal extremes drawn often.

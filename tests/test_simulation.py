@@ -16,9 +16,9 @@ from hyperon_leggett import (DecayMode, ProductionChannel,
 from hyperon_leggett.catalog import channel_correlation
 from hyperon_leggett.quantum import Direction
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
-from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _format_rows, _generator,
-                                        event_moments, pair_blocks,
-                                        spin_correlation_matrix)
+from hyperon_leggett.eventtext import _format_rows
+from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _generator, event_moments,
+                                        pair_blocks, spin_correlation_matrix)
 
 from conftest import (_random_unit, _sample_about_axes, percent_rows, random_direction,
                       random_rotation, rotated, sample_single_decays)
@@ -356,7 +356,7 @@ class TestCalibration:
 
 
 class TestEventText:
-    """simulation._format_rows against the "%.17g" text it stands in for."""
+    """eventtext._format_rows against the "%.17g" text it stands in for."""
 
     @staticmethod
     def assert_matches(values):
@@ -409,9 +409,10 @@ class TestEventFile:
         assert loaded.generator == sample.generator
 
     def test_load_holds_the_rows_once(self, tmp_path):
-        # The loaded (n, 6) rows are the only copy: n_a and n_b view them.
-        # np.loadtxt's parsing adds about a third of the data on top, and a
-        # second copy of the rows would take the peak past twice the data.
+        # The loaded (n, 6) rows are the only copy: n_a and n_b view them.  The
+        # reader parses 32 KiB of text at a time into them, with scratch of under
+        # half the data here, and a second copy of the rows would take the peak
+        # past twice the data.
         n = 20_000
         path = tmp_path / "events.txt"
         save_events(path, sample_pair_decay(SIGMA_LIKE, n, seed=56))
@@ -486,6 +487,16 @@ class TestEventFile:
         with pytest.raises(ValueError, match="unrecognized"):
             load_events(path)
 
+    def test_header_bytes_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe not an events file\n0 0 1 0 0 1\n")
+        with pytest.raises(ValueError, match="unrecognized events file"):
+            load_events(path)
+        save_events(path, sample_pair_decay(SIGMA_LIKE, 200, seed=64))
+        path.write_bytes(path.read_bytes().replace(b"# mother eta_c", b"# mother \xff"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: header is not UTF-8")):
+            load_events(path)
+
     def test_missing_header_field_rejected(self, tmp_path):
         sample = sample_pair_decay(SIGMA_LIKE, 200, seed=53)
         path = tmp_path / "events.txt"
@@ -508,6 +519,53 @@ class TestEventFile:
         with pytest.raises(ValueError) as exc:
             load_events(path)
         assert str(exc.value) == f"{path}: header field {field} is not {noun}: '{value}'"
+
+    # Body line 3 of a saved file is line 15: 12 header lines come first.
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda rows: rows[:2] + [b"0.1 0.2 0.3 0.4 0.5"] + rows[3:], 15, "expected 6 numbers"),
+        (lambda rows: rows[:2] + [rows[2] + b" 0.5"] + rows[3:], 15, "expected 6 numbers"),
+        (lambda rows: rows[:2] + [b"0.1 0.2 0.12x4 0.4 0.5 0.6"] + rows[3:], 15,
+         "not a number: b'0.12x4'"),
+        (lambda rows: rows[:2] + [b"# a comment"] + rows[2:], 15, "expected 6 numbers"),
+        (lambda rows: [row + b"\r" for row in rows], 13, "expected 6 numbers"),
+        (lambda rows: rows[:2] + [rows[2].replace(b" ", b"\t", 1)] + rows[3:], 15,
+         "expected 6 numbers"),
+        (lambda rows: rows[:2] + [rows[2].replace(b" ", b"  ", 1)] + rows[3:], 15,
+         "expected 6 numbers"),
+        (lambda rows: rows[:2] + [b" " + rows[2]] + rows[3:], 15, "expected 6 numbers"),
+        (lambda rows: rows[:2] + [b" " + rows[2].split(b" ", 1)[1]] + rows[3:], 15,
+         "not a number: b''"),
+        (lambda rows: rows[:2] + [b""] + rows[2:], 15, "expected 6 numbers"),
+    ], ids=["5 columns", "7 columns", "bad token", "comment", "CRLF", "tab",
+            "repeated space", "leading space", "empty field", "blank line"])
+    def test_malformed_body_names_the_line(self, tmp_path, edit, line, message):
+        path = tmp_path / "events.txt"
+        save_events(path, sample_pair_decay(SIGMA_LIKE, 200, seed=61))
+        lines = path.read_bytes().split(b"\n")[:-1]
+        header = [row for row in lines if row.startswith(b"# ")]
+        path.write_bytes(b"\n".join(header + edit(lines[len(header):])) + b"\n")
+        with pytest.raises(ValueError) as exc:
+            load_events(path)
+        assert str(exc.value).startswith(f"{path}: line {line}: ")
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("n_events, got", [(199, "more"), (201, "(200, 6)"),
+                                               (10 ** 12, "bytes of rows")])
+    def test_wrong_row_count_rejected(self, tmp_path, n_events, got):
+        path = tmp_path / "events.txt"
+        save_events(path, sample_pair_decay(SIGMA_LIKE, 200, seed=62))
+        text = path.read_bytes().replace(b"# n_events 200\n", b"# n_events %d\n" % n_events)
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected {n_events} rows of 6 columns, got ") + ".*" + re.escape(got)):
+            load_events(path)
+
+    def test_last_line_without_newline_rejected(self, tmp_path):
+        path = tmp_path / "events.txt"
+        save_events(path, sample_pair_decay(SIGMA_LIKE, 200, seed=63))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=rf"line 212: no newline after \d+ bytes"):
+            load_events(path)
 
     def test_unknown_spin_state_in_header_rejected(self, tmp_path):
         sample = sample_pair_decay(SIGMA_LIKE, 200, seed=55)
