@@ -30,10 +30,9 @@ from .catalog import (CATALOG_ENV_VAR, MOTHERS, DecayMode, ProductionChannel,
 from .correlations import (correlation_singlet, correlation_triplet_m0,
                            correlation_via_operators, joint_prob_matrix,
                            joint_prob_singlet, pair_correlation)
-from .geometry import build_settings, load_settings, settings_arrays, validate_settings
-from .inequalities import (_leggett_sum_report, leggett_max_lhs, leggett_sum_curve,
-                           leggett_sum_value, leggett_violation_condition, optimal_phi,
-                           symmetric_alpha_threshold)
+from .geometry import build_settings, load_settings, settings_arrays
+from .inequalities import (leggett_max_lhs, leggett_sum_curve, leggett_sum_lhs,
+                           leggett_sum_value, optimal_phi, symmetric_alpha_threshold)
 from .povm import MeasurementParams
 from .quantum import Direction, singlet_state, triplet_m0_state
 from .simulation import (_BLOCK_ROWS, GENERATOR, event_moments, leggett_lhs_from_moments,
@@ -135,8 +134,7 @@ def _closed_form_pairs(spin_state: str, pa: MeasurementParams, pb: MeasurementPa
 
 
 def _resolve_settings(args: argparse.Namespace, alpha_a: float):
-    """The command's settings, validated here once: the commands then call the bound
-    and the estimator in forms that do not validate them again."""
+    """The command's settings, refused here if their construction found violations."""
     if args.settings_file:
         settings = load_settings(args.settings_file)
         prefix = f"{args.settings_file}: "
@@ -144,9 +142,8 @@ def _resolve_settings(args: argparse.Namespace, alpha_a: float):
         phi = math.radians(args.phi_deg) if args.phi_deg is not None else optimal_phi(alpha_a)
         settings = build_settings(phi)
         prefix = "invalid triple settings: "
-    violations = validate_settings(settings)
-    if violations:
-        raise ValueError(prefix + "; ".join(violations))
+    if settings.violations:
+        raise ValueError(prefix + "; ".join(settings.violations))
     return settings
 
 
@@ -196,8 +193,8 @@ def cmd_predict(args: argparse.Namespace, argv: Sequence[str]) -> int:
     settings = _resolve_settings(args, resolved.pa.alpha)
     e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa, resolved.pb,
                                     settings.a, settings.b, settings.b_prime)
-    report = _leggett_sum_report(settings.phi, list(zip(e.tolist(), e_prime.tolist())),
-                                 resolved.pb.alpha)
+    report = leggett_sum_lhs(settings, list(zip(e.tolist(), e_prime.tolist())),
+                             resolved.pb.alpha)
     phi_star = optimal_phi(resolved.pa.alpha)
     max_lhs = leggett_max_lhs(resolved.pa.alpha, resolved.pb.alpha)
     payload = _metadata(argv, {
@@ -255,12 +252,13 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise ValueError("need 0 <= --alpha-min < --alpha-max <= 1")
     grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     shape = (args.steps, args.steps)  # rows in C order: alpha_a slow, alpha_b fast
+    lhs = leggett_max_lhs(grid[:, None], grid)
     result = ScanResult(
         axes=("alpha_a", "alpha_b"),
         columns={"alpha_a": np.broadcast_to(grid[:, None], shape),
                  "alpha_b": np.broadcast_to(grid, shape),
-                 "lhs": leggett_max_lhs(grid[:, None], grid),
-                 "violated": leggett_violation_condition(grid[:, None], grid)},
+                 "lhs": lhs,
+                 "violated": lhs > 2.0},
         bound=2.0,
         metadata=_metadata(argv, {
             "bound": 2.0,
@@ -417,7 +415,7 @@ def _run_checks(seed: int, trials: int, negative_control: bool) -> list[tuple[st
     # Geometry identities over a phi grid, then the pair-state curve against
     # the settings path that scan-phi evaluates.
     phis = np.linspace(0.01, math.pi - 0.01, 100)
-    invalid = [phi for phi in phis if validate_settings(build_settings(float(phi)))]
+    invalid = [phi for phi in phis if build_settings(float(phi)).violations]
     results.append(("geometry: construction passes validation on phi grid",
                     not invalid, "100 points"))
     a, b, b_prime = settings_arrays(phis)

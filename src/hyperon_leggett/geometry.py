@@ -22,7 +22,7 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +41,14 @@ _VECTOR_NAMES = ("a", "b", "b_prime")
 @dataclass(frozen=True, eq=False)
 class TripleSettings:
     """The pair opening angle phi (radians) and three read-only (3, 3) arrays
-    a, b and b_prime, row i the unit vector a_i, b_i or b_i'."""
+    a, b and b_prime, row i the unit vector a_i, b_i or b_i'.  ``violations`` holds
+    validate_settings(self), computed once here: empty for a valid layout."""
 
     phi: float
     a: np.ndarray
     b: np.ndarray
     b_prime: np.ndarray
+    violations: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phi", float(self.phi))
@@ -61,6 +63,7 @@ class TripleSettings:
                     raise ValueError(f"{name}{i} must be unit length, got |v|^2 = {norm_sq!r}")
             rows.setflags(write=False)
             object.__setattr__(self, name, rows)
+        object.__setattr__(self, "violations", tuple(validate_settings(self)))
 
 
 def build_settings(phi: float,
@@ -130,7 +133,7 @@ def validate_settings(settings: TripleSettings) -> list[str]:
 
     An empty list means the settings form a valid triple-measurement layout.
     Each message names the invariant and quotes its residual.  Unit length is
-    checked by TripleSettings itself.
+    checked by TripleSettings itself, which keeps this list as ``violations``.
     """
     b, b_prime = settings.b, settings.b_prime
     angle = np.arctan2(_norm(np.cross(b, b_prime)), row_dot(b, b_prime))

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .geometry import TripleSettings, validate_flipped_settings, validate_settings
+from .geometry import TripleSettings, validate_flipped_settings
 from .povm import MeasurementParams, _check_outcome
 
 EPairs = Sequence[tuple[float, float]]
@@ -118,22 +118,17 @@ def leggett_sum_lhs(settings: TripleSettings, e_pairs: EPairs,
     """Sum-form nonlocal-realism bound on the triple-measurement layout.
 
     lhs = (1/3) sum_i |E(a_i,b_i) + E(a_i,b_i')| + (2|alpha_b|/3)|sin(phi/2)|,
-    bound = 2.  ``settings`` must pass validate_settings.
+    bound = 2.  ``settings`` with any ``violations`` are refused.
     """
-    violations = validate_settings(settings)
-    if violations:
-        raise ValueError("invalid triple settings: " + "; ".join(violations))
-    return _leggett_sum_report(settings.phi, e_pairs, alpha_b)
-
-
-def _leggett_sum_report(phi: float, e_pairs: EPairs, alpha_b: float) -> InequalityReport:
-    """leggett_sum_lhs on settings of opening angle ``phi`` already validated."""
+    if settings.violations:
+        raise ValueError("invalid triple settings: " + "; ".join(settings.violations))
     pairs = _check_e_pairs(e_pairs)
-    lhs = leggett_sum_value([e + ep for e, ep in pairs], alpha_b, phi)
+    lhs = leggett_sum_value([e + ep for e, ep in pairs], alpha_b, settings.phi)
     return InequalityReport(
         name="leggett_sum", lhs=lhs, bound=2.0,
-        settings_used=f"triple settings, phi={phi!r} rad",
-        inputs={"e_pairs": [list(p) for p in pairs], "alpha_b": alpha_b, "phi": phi})
+        settings_used=f"triple settings, phi={settings.phi!r} rad",
+        inputs={"e_pairs": [list(p) for p in pairs], "alpha_b": alpha_b,
+                "phi": settings.phi})
 
 
 def leggett_sum_value(pair_sums, alpha_b: float, phi):
@@ -170,9 +165,10 @@ def leggett_diff_lhs(settings: TripleSettings, e_pairs: EPairs,
 
 
 def leggett_violation_condition(alpha_a, alpha_b):
-    """True iff the pair-state prediction can break the sum-form bound:
-    (alpha_a^2 + 1/9) * alpha_b^2 > 1.  Arrays give a mask."""
-    return (alpha_a * alpha_a + 1.0 / 9.0) * (alpha_b * alpha_b) > 1.0
+    """True iff the pair-state prediction can break the sum-form bound,
+    (alpha_a^2 + 1/9) alpha_b^2 > 1, decided on the rounded lhs the commands print:
+    leggett_max_lhs > 2.  Arrays give a mask."""
+    return leggett_max_lhs(alpha_a, alpha_b) > 2.0
 
 
 def symmetric_alpha_threshold() -> float:

@@ -44,7 +44,7 @@ import numpy as np
 from .catalog import ProductionChannel, channel_spin_state
 from .correlations import a_side_inversion, spin_correlation_diagonal
 from .eventtext import _format_rows, _read_rows
-from .geometry import TripleSettings, validate_settings
+from .geometry import TripleSettings
 from .inequalities import leggett_sum_value
 from .quantum import PAULI, Direction, expectation, row_dot, tensor
 
@@ -155,10 +155,13 @@ class EventSample:
 
 
 def _check_unit_rows(name: str, arr: np.ndarray) -> None:
-    """Refuse an (N, 3) array with a row off unit length by more than 1e-12, or NaN."""
-    worst = float(np.max(np.abs(np.einsum("ij,ij->i", arr, arr) - 1.0)))
-    if not worst <= 1e-12:
-        raise ValueError(f"{name} holds non-unit directions (residual {worst:.3e})")
+    """Refuse an (N, 3) array with a row off unit length by more than 1e-12, or NaN,
+    _BLOCK_ROWS rows at a time so no temporary grows with N."""
+    for start in range(0, len(arr), _BLOCK_ROWS):
+        block = arr[start:start + _BLOCK_ROWS]
+        worst = float(np.max(np.abs(row_dot(block, block) - 1.0)))
+        if not worst <= 1e-12:  # also refuses NaN, which np.max propagates
+            raise ValueError(f"{name} holds non-unit directions (residual {worst:.3e})")
 
 
 def _pair_provenance(channel: ProductionChannel, seed: int,
@@ -275,9 +278,6 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings) -> Legge
     """
     if sample.n_events < 100:
         raise ValueError(f"sample too small: {sample.n_events} events, need at least 100")
-    violations = validate_settings(settings)
-    if violations:
-        raise ValueError("invalid triple settings: " + "; ".join(violations))
     return leggett_lhs_from_moments(event_moments(sample), settings, sample.seed,
                                     sample.alpha_b, sample.spin_state)
 
@@ -285,7 +285,9 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings) -> Legge
 def leggett_lhs_from_moments(moments: Moments, settings: TripleSettings, seed: int,
                              alpha_b: float, spin_state: str) -> LeggettEstimate:
     """estimate_leggett_lhs from the event_moments of a sample and its seed, alpha_b
-    and spin_state; ``settings`` must pass validate_settings."""
+    and spin_state; ``settings`` with any ``violations`` are refused."""
+    if settings.violations:
+        raise ValueError("invalid triple settings: " + "; ".join(settings.violations))
     count, mean, scatter = moments
     a = settings.a * a_side_inversion(spin_state)
     weights = 9.0 * (a[:, :, None] * (settings.b + settings.b_prime)[:, None, :]).reshape(3, 9)

@@ -253,6 +253,24 @@ class TestScanRegion:
         code, _, _ = run(["scan-region", "--alpha-min", "0.5", "--alpha-max", "0.2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("alpha_min, alpha_max", [
+        ("0.9560930357785989", "0.9913851296910221"),
+        ("0.9587782929432349", "0.9882941657107649")])
+    def test_verdict_is_printed_lhs_above_bound_at_the_boundary(self, capsys,
+                                                                alpha_min, alpha_max):
+        # Each grid has a cell whose lhs rounds to 2.0 or 2.0000000000000004, where
+        # the polynomial (alpha_a^2 + 1/9) alpha_b^2 > 1 gives the other verdict.
+        code, out, _ = run(["scan-region", "--alpha-min", alpha_min, "--alpha-max",
+                            alpha_max, "--steps", "2"], capsys)
+        assert code == 0
+        rows = [row.split(",") for row in data_rows(out)]
+        assert [violated for *_, violated in rows] == [
+            str(int(float(lhs) > 2.0)) for _, _, lhs, _ in rows]
+        for alpha_a, alpha_b, _, violated in rows:
+            code, out, _ = run(["predict", "--alpha-a", alpha_a, "--alpha-b", alpha_b], capsys)
+            assert code == 0
+            assert json.loads(out)["max_violated"] is (violated == "1")
+
     def test_csv_bytes_across_block_boundary(self, capsys):
         steps = 65
         assert _BLOCK_ROWS < steps * steps and (steps * steps) % _BLOCK_ROWS
@@ -416,6 +434,16 @@ class TestSimulate:
         out = ["--out", str(tmp_path / "run")] if command[0] == "simulate" else []
         calls = count_validations(monkeypatch)
         code, _, _ = run([*command, "--settings-file", str(path), *out], capsys)
+        assert code in (0, 1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "--channel", "SigmaPlus"],
+        ["simulate", "--channel", "SigmaPlus", "--events", "2000"]])
+    def test_default_settings_validated_once(self, capsys, monkeypatch, tmp_path, command):
+        out = ["--out", str(tmp_path / "run")] if command[0] == "simulate" else []
+        calls = count_validations(monkeypatch)
+        code, _, _ = run([*command, *out], capsys)
         assert code in (0, 1)
         assert len(calls) == 1
 

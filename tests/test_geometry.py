@@ -147,6 +147,22 @@ class TestValidate:
         assert any(m.startswith("pair_angle") for m in messages)
 
 
+class TestViolationsAtConstruction:
+    def test_kept_from_validate_settings(self):
+        s = build_settings(1.0)
+        tampered = TripleSettings(phi=1.3, a=s.a, b=s.b, b_prime=s.b_prime)
+        flipped = flip_b_prime(s)
+        for settings in (s, tampered, flipped):
+            assert settings.violations == tuple(validate_settings(settings))
+        assert s.violations == ()
+        assert tampered.violations and flipped.violations
+
+    def test_not_a_constructor_argument(self):
+        s = build_settings(1.0)
+        with pytest.raises(TypeError):
+            TripleSettings(s.phi, s.a, s.b, s.b_prime, violations=())
+
+
 class TestFlip:
     def test_involution(self):
         s = build_settings(0.8)

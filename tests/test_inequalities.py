@@ -220,6 +220,14 @@ class TestViolationCondition:
         assert leggett_violation_condition(th * (1 + 1e-9), th * (1 + 1e-9))
         assert not leggett_violation_condition(th * (1 - 1e-9), th * (1 - 1e-9))
 
+    def test_agrees_with_rounded_max_lhs_within_ulps_of_the_boundary(self, rng):
+        # alpha_b = 1/sqrt(alpha_a^2 + 1/9) is at most 1 for alpha_a >= sqrt(8)/3.
+        alpha_a = rng.uniform(math.sqrt(8.0) / 3.0, 1.0, size=(2000, 1))
+        edge = 1.0 / np.sqrt(alpha_a * alpha_a + 1.0 / 9.0)
+        alpha_b = edge + np.arange(-3, 4) * np.spacing(edge)
+        assert np.array_equal(leggett_violation_condition(alpha_a, alpha_b),
+                              leggett_max_lhs(alpha_a, alpha_b) > 2.0)
+
     def test_equivalent_to_grid_maximum(self, rng):
         phis = np.linspace(1e-4, math.pi, 10_000)
         for _ in range(200):

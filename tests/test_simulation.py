@@ -18,7 +18,8 @@ from hyperon_leggett.quantum import Direction
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
 from hyperon_leggett.eventtext import _format_rows
 from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _generator, event_moments,
-                                        pair_blocks, spin_correlation_matrix)
+                                        leggett_lhs_from_moments, pair_blocks,
+                                        spin_correlation_matrix)
 
 from conftest import (_random_unit, _sample_about_axes, percent_rows, random_direction,
                       random_rotation, rotated, sample_single_decays)
@@ -306,6 +307,9 @@ class TestEstimateLeggett:
         tampered = TripleSettings(phi=1.4, a=s.a, b=s.b, b_prime=s.b_prime)
         with pytest.raises(ValueError, match="invalid triple settings"):
             estimate_leggett_lhs(sample, tampered)
+        with pytest.raises(ValueError, match="invalid triple settings"):
+            leggett_lhs_from_moments(event_moments(sample), tampered, sample.seed,
+                                     sample.alpha_b, sample.spin_state)
 
 
 class TestCalibration:
@@ -596,6 +600,16 @@ class TestEventFile:
         with pytest.raises(ValueError, match="non-unit"):
             EventSample(n_a=nan_row, n_b=good, seed=1, mother="eta_c", hyperon_a="A",
                         hyperon_b="B", alpha_a=0.5, alpha_b=0.5, spin_state="singlet")
+
+    @pytest.mark.parametrize("bad_row", [[math.nan, 0.0, 1.0], [0.0, 0.0, 1.0 + 1e-9]])
+    def test_bad_row_past_the_first_block_rejected(self, bad_row):
+        rows = np.tile([0.0, 0.0, 1.0], (6000, 1))
+        rows[5000] = bad_row
+        assert 5000 >= _BLOCK_ROWS
+        with pytest.raises(ValueError, match="n_a holds non-unit"):
+            EventSample(n_a=rows, n_b=np.tile([0.0, 0.0, 1.0], (6000, 1)), seed=1,
+                        mother="eta_c", hyperon_a="A", hyperon_b="B", alpha_a=0.5,
+                        alpha_b=0.5, spin_state="singlet")
 
     def test_nan_row_in_file_rejected(self, tmp_path):
         path = tmp_path / "events.txt"
