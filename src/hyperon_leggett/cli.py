@@ -13,13 +13,14 @@ with failed identities (``check``), 2 usage or runtime error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,48 +40,6 @@ from .simulation import (_BLOCK_ROWS, GENERATOR, event_moments, leggett_lhs_from
                          pair_blocks, spin_correlation_matrix, write_pair_events)
 
 TOOL = "hyperon-leggett"
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Grid scan output: axis columns plus derived columns, ready for CSV.  The
-    columns share one shape and their rows are read in C order, so a column may be
-    a broadcast view that repeats a grid."""
-
-    axes: tuple[str, ...]
-    columns: dict[str, np.ndarray]
-    bound: float
-    metadata: dict[str, Any]
-
-    def __post_init__(self) -> None:
-        shapes = {name: col.shape for name, col in self.columns.items()}
-        if len(set(shapes.values())) != 1:
-            raise ValueError(f"scan columns differ in shape: {shapes}")
-        for axis in self.axes:
-            if axis not in self.columns:
-                raise ValueError(f"axis column {axis!r} missing from scan columns")
-        if not _lexicographically_sorted([self.columns[axis] for axis in self.axes]):
-            raise ValueError("scan grid must be monotone in its axis columns")
-        if "lhs" in self.columns and "violated" in self.columns:
-            lhs = self.columns["lhs"]
-            violated = self.columns["violated"].astype(bool)
-            if np.any(violated & ~(lhs > self.bound)):
-                raise ValueError("violation mask inconsistent with lhs and bound")
-
-
-def _lexicographically_sorted(axis_columns: Sequence[np.ndarray]) -> bool:
-    """Whether the rows, read in C order, are sorted by the columns in turn.  Each
-    column is viewed as (len, -1) cells, whose consecutive pairs lie within a row or
-    across two rows, so a broadcast column is compared without being expanded."""
-    grids = [col.reshape(len(col), -1) for col in axis_columns]
-    tied = [np.ones(grids[0][:, 1:].shape, dtype=bool), np.ones(len(grids[0]) - 1, dtype=bool)]
-    for grid in grids:
-        for undecided, prev, cur in zip(tied, (grid[:, :-1], grid[:-1, -1]),
-                                        (grid[:, 1:], grid[1:, 0])):
-            if np.any(undecided & (cur < prev)):
-                return False
-            undecided &= ~(cur > prev)
-    return True
 
 
 @dataclass(frozen=True)
@@ -147,6 +106,12 @@ def _resolve_settings(args: argparse.Namespace, alpha_a: float):
     return settings
 
 
+def _check_seed(seed: int) -> None:
+    """The seed range of simulate and check: their generators take 64-bit seeds."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"--seed must be in [0, 2**64), got {seed}")
+
+
 def _metadata(argv: Sequence[str], extra: Mapping[str, Any]) -> dict[str, Any]:
     return {"tool": TOOL, "version": __version__, "command": " ".join([TOOL, *argv]),
             **extra}
@@ -157,35 +122,29 @@ def _emit_json(payload: Mapping[str, Any], out: str | None) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _formatted_once(values: np.ndarray) -> np.ndarray:
-    """The ``%r`` text of each of ``values``, as an object array of strings that the
-    cells repeating a value share."""
-    return np.array([repr(v) for v in values.tolist()], dtype=object)
-
-
 _FLAG_TEXT = np.array(["0", "1"], dtype=object)
 
 
-def _emit_csv(result: ScanResult, header_order: Sequence[str], out: str | None,
-              text: Mapping[str, np.ndarray]) -> None:
-    """Write the scan as CSV, one ``%`` per block of _BLOCK_ROWS rows, never holding
-    the whole text.  Float cells go through ``%r``, the shortest exact round trip.
-    ``text`` holds, for the columns that repeat a few values by construction, their
-    cells as shared strings from _formatted_once (of any shape, read in C order), so
-    each value is formatted once; flags print as the shared 0/1."""
-    cols = [text.get(name, result.columns[name]) for name in header_order]
-    row_format = ",".join("%r" if col.dtype == float else "%s" for col in cols) + "\n"
+def _emit_csv(out: str | None, metadata: Mapping[str, Any], header: Sequence[str],
+              row_format: str, blocks: Iterator[tuple[np.ndarray, ...]]) -> None:
+    """Write a scan as CSV from blocks of equal-length columns, one ``%`` of
+    ``row_format`` repeated per row for each block, so the whole text is never held.
+    Constants are written into ``row_format``.  Float columns go through ``%r``, the
+    shortest exact round trip; object columns hold strings shared by the rows that
+    repeat a value, so it is formatted once; bool columns print as the shared 0/1.
+    The first block is drawn before the output is opened, so a scan refused while
+    computing writes nothing."""
+    first = next(blocks)
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
-        for key, value in result.metadata.items():
+        for key, value in metadata.items():
             fh.write(f"# {key} {value}\n")
-        fh.write(",".join(header_order) + "\n")
-        for start in range(0, cols[0].size, _BLOCK_ROWS):
-            blocks = [col.flat[start:start + _BLOCK_ROWS] for col in cols]
-            cells: list[Any] = [None] * (len(cols) * len(blocks[0]))
-            for k, block in enumerate(blocks):
-                cells[k::len(cols)] = (_FLAG_TEXT[block.view(np.uint8)] if block.dtype == bool
-                                       else block).tolist()
-            fh.write(row_format * len(blocks[0]) % tuple(cells))
+        fh.write(",".join(header) + "\n")
+        for block in itertools.chain([first], blocks):
+            cells: list[Any] = [None] * (len(block) * len(block[0]))
+            for k, col in enumerate(block):
+                cells[k::len(block)] = (_FLAG_TEXT[col.view(np.uint8)] if col.dtype == bool
+                                        else col).tolist()
+            fh.write(row_format * len(block[0]) % tuple(cells))
 
 
 def cmd_predict(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -219,29 +178,19 @@ def cmd_scan_phi(args: argparse.Namespace, argv: Sequence[str]) -> int:
     resolved = _resolve_channel(args)
     phis = np.linspace(math.radians(args.phi_min_deg),
                        math.radians(args.phi_max_deg), args.steps)
-    # Row-wise, so a block at a time gives the same bits with block-sized settings.
-    lhs = np.empty_like(phis)
-    for start in range(0, args.steps, _BLOCK_ROWS):
-        block = phis[start:start + _BLOCK_ROWS]
-        e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa,
-                                        resolved.pb, *settings_arrays(block))
-        lhs[start:start + _BLOCK_ROWS] = leggett_sum_value(e + e_prime, resolved.pb.alpha,
-                                                           block)
-    bound = np.broadcast_to(2.0, phis.shape)
-    result = ScanResult(
-        axes=("phi_rad",),
-        columns={
-            "phi_deg": np.degrees(phis),
-            "phi_rad": phis,
-            "lhs": lhs,
-            "bound": bound,
-            "margin": lhs - 2.0,
-            "violated": lhs > 2.0,
-        },
-        bound=2.0,
-        metadata=_metadata(argv, resolved.provenance()))
-    _emit_csv(result, ("phi_deg", "phi_rad", "lhs", "bound", "margin", "violated"),
-              args.out, text={"bound": np.broadcast_to(_formatted_once(bound[:1]), phis.shape)})
+
+    def blocks() -> Iterator[tuple[np.ndarray, ...]]:
+        # Row-wise, so a block at a time gives the same bits as the whole grid.
+        for start in range(0, args.steps, _BLOCK_ROWS):
+            block = phis[start:start + _BLOCK_ROWS]
+            e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa,
+                                            resolved.pb, *settings_arrays(block))
+            lhs = leggett_sum_value(e + e_prime, resolved.pb.alpha, block)
+            yield np.degrees(block), block, lhs, lhs - 2.0, lhs > 2.0
+
+    _emit_csv(args.out, _metadata(argv, resolved.provenance()),
+              ("phi_deg", "phi_rad", "lhs", "bound", "margin", "violated"),
+              f"%r,%r,%r,{2.0!r},%r,%s\n", blocks())
     return 0
 
 
@@ -251,30 +200,30 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if not 0.0 <= args.alpha_min < args.alpha_max <= 1.0:
         raise ValueError("need 0 <= --alpha-min < --alpha-max <= 1")
     grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
-    shape = (args.steps, args.steps)  # rows in C order: alpha_a slow, alpha_b fast
-    lhs = leggett_max_lhs(grid[:, None], grid)
-    result = ScanResult(
-        axes=("alpha_a", "alpha_b"),
-        columns={"alpha_a": np.broadcast_to(grid[:, None], shape),
-                 "alpha_b": np.broadcast_to(grid, shape),
-                 "lhs": lhs,
-                 "violated": lhs > 2.0},
-        bound=2.0,
-        metadata=_metadata(argv, {
-            "bound": 2.0,
-            "boundary": "(alpha_a^2 + 1/9) * alpha_b^2 = 1",
-            "symmetric_alpha_threshold": symmetric_alpha_threshold(),
-        }))
-    grid_text = _formatted_once(grid)
-    _emit_csv(result, ("alpha_a", "alpha_b", "lhs", "violated"), args.out,
-              text={"alpha_a": np.broadcast_to(grid_text[:, None], shape),
-                    "alpha_b": np.broadcast_to(grid_text, shape)})
+    if np.any(grid[1:] <= grid[:-1]):  # rows sorted by (alpha_a, alpha_b) need distinct values
+        raise ValueError("--alpha-min and --alpha-max are too close for --steps distinct values")
+    grid_text = np.array([repr(v) for v in grid.tolist()], dtype=object)
+
+    def blocks() -> Iterator[tuple[np.ndarray, ...]]:
+        # Row k is the cell (alpha_a, alpha_b) = grid[divmod(k, steps)]: alpha_a slow.
+        rows = args.steps ** 2
+        for start in range(0, rows, _BLOCK_ROWS):
+            i, j = np.divmod(np.arange(start, min(start + _BLOCK_ROWS, rows)), args.steps)
+            lhs = leggett_max_lhs(grid[i], grid[j])
+            yield grid_text[i], grid_text[j], lhs, lhs > 2.0
+
+    _emit_csv(args.out, _metadata(argv, {
+        "bound": 2.0,
+        "boundary": "(alpha_a^2 + 1/9) * alpha_b^2 = 1",
+        "symmetric_alpha_threshold": symmetric_alpha_threshold(),
+    }), ("alpha_a", "alpha_b", "lhs", "violated"), "%s,%s,%r,%s\n", blocks())
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.events < 100:
         raise ValueError("--events must be at least 100 for the estimators")
+    _check_seed(args.seed)
     if not math.isfinite(args.sigma_threshold):
         raise ValueError(f"--sigma-threshold must be finite, got {args.sigma_threshold!r}")
     resolved = _resolve_channel(args)
@@ -434,6 +383,7 @@ def _run_checks(seed: int, trials: int, negative_control: bool) -> list[tuple[st
 def cmd_check(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    _check_seed(args.seed)
     results = _run_checks(args.seed, args.trials, args.negative_control)
     failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:

@@ -10,7 +10,7 @@ import pytest
 from hyperon_leggett import geometry, sample_pair_decay, save_events
 from hyperon_leggett.catalog import (catalog_sha256, default_catalog_path, load_catalog,
                                      make_pair_channel)
-from hyperon_leggett.cli import ScanResult, main
+from hyperon_leggett.cli import main
 from hyperon_leggett.correlations import pair_correlation
 from hyperon_leggett.inequalities import (leggett_max_lhs, leggett_sum_value,
                                           leggett_violation_condition)
@@ -206,6 +206,18 @@ class TestScanPhi:
         assert out == ""
         assert "invalid measurement parameters" in err
 
+    def test_refused_scan_writes_nothing(self, capsys, tmp_path):
+        # The triplet state refuses a biased measurement while the first block is
+        # computed, before any output is opened.
+        args = ["scan-phi", "--channel", "Lambda", "--mother", "chi_c0", "--eta-a", "0.1"]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert "unbiased measurements only" in err
+        path = tmp_path / "refused.csv"
+        code, out, _ = run([*args, "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert not path.exists()
+
     def test_csv_bytes_across_block_boundary(self, capsys):
         steps = 5000
         assert _BLOCK_ROWS < steps and steps % _BLOCK_ROWS
@@ -253,6 +265,18 @@ class TestScanRegion:
         code, _, _ = run(["scan-region", "--alpha-min", "0.5", "--alpha-max", "0.2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("alpha_min, alpha_max", [("0.0", "5e-324"),
+                                                      ("0.5", "0.5000000000000001")])
+    def test_grid_with_repeated_values_rejected(self, capsys, tmp_path, alpha_min, alpha_max):
+        # Three steps over one or two doubles repeat a grid value, so the rows could
+        # not be sorted by (alpha_a, alpha_b).
+        path = tmp_path / "region.csv"
+        code, out, err = run(["scan-region", "--alpha-min", alpha_min, "--alpha-max",
+                              alpha_max, "--steps", "3", "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "too close for --steps distinct values" in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("alpha_min, alpha_max", [
         ("0.9560930357785989", "0.9913851296910221"),
         ("0.9587782929432349", "0.9882941657107649")])
@@ -289,31 +313,6 @@ class TestScanRegion:
         assert rows[-1].startswith("1.0,1.0,")
 
 
-class TestScanResult:
-    @staticmethod
-    def make(first, second, lhs=None, violated=None):
-        columns = {"x": np.array(first, dtype=float), "y": np.array(second, dtype=float)}
-        if lhs is not None:
-            columns["lhs"] = np.array(lhs, dtype=float)
-            columns["violated"] = np.array(violated, dtype=bool)
-        return ScanResult(axes=("x", "y"), columns=columns, bound=2.0, metadata={})
-
-    def test_descending_first_axis_rejected(self):
-        with pytest.raises(ValueError, match="monotone"):
-            self.make([0.0, 1.0, 0.5], [0.0, 0.0, 0.0])
-
-    def test_second_axis_descending_within_tie_rejected(self):
-        with pytest.raises(ValueError, match="monotone"):
-            self.make([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.5])
-
-    def test_repeated_rows_and_resets_after_first_axis_step_accepted(self):
-        self.make([0.0, 0.0, 0.0, 1.0, 1.0], [0.5, 0.5, 1.0, 0.0, 0.0])
-
-    def test_violated_flag_without_lhs_above_bound_rejected(self):
-        with pytest.raises(ValueError, match="violation mask"):
-            self.make([0.0, 1.0], [0.0, 0.0], lhs=[2.5, 2.0], violated=[True, True])
-
-
 class TestSimulate:
     def test_violation_exit_code_and_files(self, capsys, tmp_path):
         out_dir = tmp_path / "run1"
@@ -331,6 +330,15 @@ class TestSimulate:
                             "--seed", "8", "--out", str(tmp_path / "run2")], capsys)
         assert code == 1
         assert json.loads(out)["violation_observed"] is False
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_refused(self, capsys, tmp_path, seed):
+        out_dir = tmp_path / "new" / "run"
+        code, out, err = run(["simulate", "--channel", "SigmaPlus", "--events", "1000",
+                              "--seed", seed, "--out", str(out_dir)], capsys)
+        assert (code, out) == (2, "")
+        assert f"error: --seed must be in [0, 2**64), got {seed}" in err
+        assert not (tmp_path / "new").exists()
 
     def test_undersized_run_refused(self, capsys, tmp_path):
         code, _, err = run(["simulate", "--channel", "SigmaPlus", "--events", "10",
@@ -507,6 +515,12 @@ class TestCheck:
         assert code == 2
         assert "error: --trials must be at least 1" in err
         assert "checks passed" not in out
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_refused(self, capsys, seed):
+        code, out, err = run(["check", "--seed", seed], capsys)
+        assert (code, out) == (2, "")
+        assert f"error: --seed must be in [0, 2**64), got {seed}" in err
 
     def test_negative_control_fails_and_names_identity(self, capsys):
         code, out, _ = run(["check", "--negative-control"], capsys)

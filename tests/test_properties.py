@@ -1,7 +1,8 @@
 """Property tests: the array path that the scans use against the scalar path, the
 closed forms against the 4x4 matrix path, the invariances of the settings layout,
 exact text round trips of the catalog and of event files, the event-text digit
-reader against int(), and the scan CSV against per-row ``%r`` formatting."""
+reader against int(), the scan CSV against per-row ``%r`` formatting, and the row
+order and verdicts of both scans."""
 
 import contextlib
 import dataclasses
@@ -18,7 +19,7 @@ from hyperon_leggett import (DecayMode, Direction, MeasurementParams, Production
                              build_settings, leggett_sum_lhs, load_events,
                              sample_pair_decay, save_events)
 from hyperon_leggett.catalog import MOTHERS, parse_catalog
-from hyperon_leggett.cli import ScanResult, _emit_csv, _formatted_once
+from hyperon_leggett.cli import _emit_csv, main
 from hyperon_leggett.correlations import (correlation_singlet, correlation_triplet_m0,
                                           correlation_via_operators, joint_prob_matrix,
                                           joint_prob_singlet, pair_correlation)
@@ -291,14 +292,49 @@ def test_scan_csv_matches_percent_format(pool, n_rows, seed):
     x, y = values[rng.integers(len(values), size=(2, n_rows))]
     codes = rng.integers(len(values), size=n_rows)
     flags = rng.random(n_rows) < 0.5
-    result = ScanResult(axes=("row",), columns={"row": np.arange(n_rows, dtype=float),
-                                                "x": x, "y": y, "picked": values[codes],
-                                                "flag": flags},
-                        bound=2.0, metadata={})
+    index = np.arange(n_rows, dtype=float)
+    picked = np.array([repr(v) for v in values.tolist()], dtype=object)[codes]
+    blocks = (tuple(col[start:start + _BLOCK_ROWS] for col in (index, x, picked, y, flags))
+              for start in range(0, n_rows, _BLOCK_ROWS))
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        _emit_csv(result, ("row", "x", "picked", "y", "flag"), None,
-                  text={"picked": _formatted_once(values)[codes]})
+        _emit_csv(None, {}, ("row", "x", "picked", "y", "flag"), "%r,%r,%s,%r,%s\n", blocks)
     expected = ["row,x,picked,y,flag\n", *("%r,%r,%r,%r,%d\n" % row for row in zip(
-        result.columns["row"].tolist(), x.tolist(), values[codes].tolist(), y.tolist(),
-        flags.tolist()))]
+        index.tolist(), x.tolist(), values[codes].tolist(), y.tolist(), flags.tolist()))]
     assert out.getvalue().splitlines(keepends=True) == expected
+
+
+def scan_rows(args):
+    """The data rows of a scan run through main, split into cells."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(args) == 0
+    lines = [line for line in out.getvalue().splitlines() if not line.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(2, 80))
+def test_scan_region_rows_sorted_and_verdict_is_lhs_above_bound(lo, hi, steps):
+    grid = np.linspace(lo, hi, steps)
+    assume(lo < hi and np.all(grid[1:] > grid[:-1]))
+    rows = scan_rows(["scan-region", "--alpha-min", repr(lo), "--alpha-max", repr(hi),
+                      "--steps", str(steps)])
+    assert len(rows) == steps * steps
+    cells = [(float(alpha_a), float(alpha_b)) for alpha_a, alpha_b, _, _ in rows]
+    assert cells == sorted(cells)
+    assert all(violated == str(int(float(lhs) > 2.0)) for _, _, lhs, violated in rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.0, 180.0, exclude_min=True), st.floats(0.0, 180.0, exclude_min=True),
+       st.integers(2, 2 * _BLOCK_ROWS + 3), alphas, alphas)
+def test_scan_phi_rows_sorted_and_verdict_is_lhs_above_bound(lo, hi, steps, alpha_a,
+                                                              alpha_b):
+    assume(lo < hi)
+    rows = scan_rows(["scan-phi", f"--alpha-a={alpha_a!r}", f"--alpha-b={alpha_b!r}",
+                      "--phi-min-deg", repr(lo), "--phi-max-deg", repr(hi),
+                      "--steps", str(steps)])
+    assert len(rows) == steps
+    phi_rad = [float(row[1]) for row in rows]
+    assert phi_rad == sorted(phi_rad)
+    assert all(bound == "2.0" and violated == str(int(float(lhs) > 2.0))
+               for _, _, lhs, bound, _, violated in rows)
