@@ -17,9 +17,9 @@ from .povm import (DecayAmplitudes, MeasurementParams, alpha_from_amplitudes,
                    povm_element)
 from .geometry import (TripleSettings, build_settings, flip_b_prime,
                        load_settings, save_settings, validate_settings)
-from .correlations import (JointProbTable, correlation_singlet,
-                           correlation_triplet_m0, correlation_via_operators,
-                           joint_prob_matrix, joint_prob_singlet, parity_flip_z)
+from .correlations import (OUTCOMES, correlation_singlet, correlation_triplet_m0,
+                           correlation_via_operators, joint_prob_matrix,
+                           joint_prob_singlet, parity_flip_z)
 from .inequalities import (InequalityReport, ch_povm_lhs, chsh_povm,
                            leggett_diff_lhs, leggett_max_lhs, leggett_sum_curve,
                            leggett_sum_lhs, leggett_violation_condition,

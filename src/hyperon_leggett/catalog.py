@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .correlations import pair_correlation, pair_density_matrix
 from .povm import MeasurementParams
-from .quantum import Direction, TwoQubitState
+from .quantum import TwoQubitState
 
 CATALOG_ENV_VAR = "HYPERON_LEGGETT_CATALOG"
 
@@ -139,12 +139,11 @@ def channel_spin_state(channel: ProductionChannel) -> TwoQubitState:
     return pair_density_matrix(channel.spin_state)
 
 
-def channel_correlation(channel: ProductionChannel, a: Direction, b: Direction) -> float:
+def channel_correlation(channel: ProductionChannel, a, b):
     """Correlation function of the channel at settings (a, b), unbiased measurements.
 
     ``a`` is taken as inverted by correlations.a_side_inversion (the z flip for the
     triplet), which maps the triplet onto the singlet analysis up to a sign.
     """
-    pa = MeasurementParams.unsharp(channel.mode_a.alpha)
-    pb = MeasurementParams.unsharp(channel.mode_b.alpha)
-    return float(pair_correlation(channel.spin_state, pa, a.as_array(), pb, b.as_array()))
+    pa, pb = (MeasurementParams.unsharp(m.alpha) for m in (channel.mode_a, channel.mode_b))
+    return pair_correlation(channel.spin_state, pa, a, pb, b)

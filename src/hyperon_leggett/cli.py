@@ -35,9 +35,10 @@ from .geometry import build_settings, load_settings, settings_arrays
 from .inequalities import (leggett_max_lhs, leggett_sum_curve, leggett_sum_lhs,
                            leggett_sum_value, optimal_phi, symmetric_alpha_threshold)
 from .povm import MeasurementParams
-from .quantum import Direction, singlet_state, triplet_m0_state
-from .simulation import (_BLOCK_ROWS, GENERATOR, event_moments, leggett_lhs_from_moments,
-                         pair_blocks, spin_correlation_matrix, write_pair_events)
+from .quantum import row_dot, singlet_state, triplet_m0_state
+from .simulation import (_BLOCK_ROWS, GENERATOR, check_seed, event_moments,
+                         leggett_lhs_from_moments, pair_blocks, spin_correlation_matrix,
+                         write_pair_events)
 
 TOOL = "hyperon-leggett"
 
@@ -104,12 +105,6 @@ def _resolve_settings(args: argparse.Namespace, alpha_a: float):
     if settings.violations:
         raise ValueError(prefix + "; ".join(settings.violations))
     return settings
-
-
-def _check_seed(seed: int) -> None:
-    """The seed range of simulate and check: their generators take 64-bit seeds."""
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"--seed must be in [0, 2**64), got {seed}")
 
 
 def _metadata(argv: Sequence[str], extra: Mapping[str, Any]) -> dict[str, Any]:
@@ -223,7 +218,7 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.events < 100:
         raise ValueError("--events must be at least 100 for the estimators")
-    _check_seed(args.seed)
+    check_seed(args.seed, "--seed")
     if not math.isfinite(args.sigma_threshold):
         raise ValueError(f"--sigma-threshold must be finite, got {args.sigma_threshold!r}")
     resolved = _resolve_channel(args)
@@ -287,50 +282,44 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return 0 if violation else 1
 
 
+def _oracle_residuals(rng: np.random.Generator, trials: int,
+                      negative_control: bool) -> dict[str, float]:
+    """Max residual of each closed form against the 4x4 matrix path, by identity, over
+    ``trials`` random trials, each identity in one call.  Each trial draws (eta, alpha)
+    for A, then for B, then directions a and b, in this order from rng."""
+    draws = np.array([(*rng.uniform(-1.0, 1.0, 4), *rng.normal(size=6)) for _ in range(trials)])
+    eta = draws[:, [0, 2]]
+    alpha = draws[:, [1, 3]] * (1.0 - np.abs(eta))
+    pa, pb = (MeasurementParams(eta[:, side], alpha[:, side]) for side in (0, 1))
+    a, b = (v / np.sqrt(row_dot(v, v))[:, None] for v in (draws[:, 4:7], draws[:, 7:]))
+    ua, ub = MeasurementParams.unsharp(pa.alpha), MeasurementParams.unsharp(pb.alpha)
+    singlet = singlet_state()
+    sign = -1.0 if negative_control else 1.0
+    residuals = {
+        "singlet joint table: closed form vs matrix path":
+            joint_prob_singlet(pa, a, pb, b) - joint_prob_matrix(singlet, pa, a, pb, b),
+        "singlet correlation: closed form vs operator average":
+            sign * correlation_singlet(pa, a, pb, b)
+            - correlation_via_operators(singlet, pa, a, pb, b),
+        "triplet correlation: closed form vs operator average":
+            correlation_triplet_m0(ua, a, ub, b)
+            - correlation_via_operators(triplet_m0_state(), ua, a, ub, b)}
+    return {name: float(np.max(np.abs(r))) for name, r in residuals.items()}
+
+
 def _run_checks(seed: int, trials: int, negative_control: bool) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(seed)
     results: list[tuple[str, bool, str]] = []
-
-    def random_direction() -> Direction:
-        v = rng.normal(size=3)
-        return Direction.normalized(*v)
-
-    def random_params() -> MeasurementParams:
-        eta = rng.uniform(-1.0, 1.0)
-        alpha = rng.uniform(-1.0, 1.0) * (1.0 - abs(eta))
-        return MeasurementParams(eta, alpha)
 
     def record(name: str, residual: float, tol: float) -> None:
         ok = residual <= tol
         results.append((name, ok, f"max residual {residual:.3e} (tol {tol:.0e})"))
 
-    # Closed forms against the 4x4 matrix path.
-    worst_joint = 0.0
-    worst_corr_singlet = 0.0
-    worst_corr_triplet = 0.0
-    singlet = singlet_state()
-    triplet = triplet_m0_state()
-    for _ in range(trials):
-        pa, pb = random_params(), random_params()
-        a, b = random_direction(), random_direction()
-        table_closed = joint_prob_singlet(pa, a, pb, b)
-        table_matrix = joint_prob_matrix(singlet, pa, a, pb, b)
-        worst_joint = max(worst_joint, max(
-            abs(table_closed.value(j, k) - table_matrix.value(j, k))
-            for j in (1, -1) for k in (1, -1)))
-        closed_e = correlation_singlet(pa, a, pb, b)
-        if negative_control:
-            closed_e = -closed_e
-        worst_corr_singlet = max(worst_corr_singlet, abs(
-            closed_e - correlation_via_operators(singlet, pa, a, pb, b)))
-        ua = MeasurementParams.unsharp(pa.alpha)
-        ub = MeasurementParams.unsharp(pb.alpha)
-        worst_corr_triplet = max(worst_corr_triplet, abs(
-            correlation_triplet_m0(ua, a, ub, b)
-            - correlation_via_operators(triplet, ua, a, ub, b)))
-    record("singlet joint table: closed form vs matrix path", worst_joint, 1e-12)
-    record("singlet correlation: closed form vs operator average", worst_corr_singlet, 1e-12)
-    record("triplet correlation: closed form vs operator average", worst_corr_triplet, 1e-12)
+    # Closed forms against the 4x4 matrix path, _BLOCK_ROWS trials at a time (flat memory).
+    blocks = [_oracle_residuals(rng, min(_BLOCK_ROWS, trials - start), negative_control)
+              for start in range(0, trials, _BLOCK_ROWS)]
+    for name in blocks[0]:
+        record(name, max(block[name] for block in blocks), 1e-12)
 
     # Sampler moments against the spin-correlation matrix.
     n_events = 200_000
@@ -383,7 +372,7 @@ def _run_checks(seed: int, trials: int, negative_control: bool) -> list[tuple[st
 def cmd_check(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    _check_seed(args.seed)
+    check_seed(args.seed, "--seed")
     results = _run_checks(args.seed, args.trials, args.negative_control)
     failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:

@@ -6,13 +6,11 @@ used by scans and simulation.  Tests pin the two against each other at 1e-12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .povm import MeasurementParams, povm_element
-from .quantum import (ATOL, Direction, TwoQubitState, expectation, row_dot,
-                      singlet_state, tensor, triplet_m0_state)
+from .quantum import (ATOL, Direction, TwoQubitState, _all, _float_or_array, expectation,
+                      row_dot, singlet_state, tensor, triplet_m0_state)
 
 # Each pair state: its density matrix and the diagonal of its spin-correlation
 # matrix C_ij = <sigma_i (x) sigma_j>, which is diagonal for both states.
@@ -40,78 +38,61 @@ def a_side_inversion(spin_state: str) -> np.ndarray:
     return c * c[0]
 
 
-@dataclass(frozen=True)
-class JointProbTable:
-    """The four joint probabilities P(j,k) for outcomes j, k in {+1, -1}."""
-
-    p_pp: float
-    p_pm: float
-    p_mp: float
-    p_mm: float
-
-    def __post_init__(self) -> None:
-        entries = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        if min(entries) < -ATOL:
-            raise ValueError(f"negative joint probability: {entries}")
-        total = sum(entries)
-        if abs(total - 1.0) > ATOL:
-            raise ValueError(f"joint probabilities sum to {total!r}, expected 1")
-
-    def value(self, j: int, k: int) -> float:
-        table = {(1, 1): self.p_pp, (1, -1): self.p_pm,
-                 (-1, 1): self.p_mp, (-1, -1): self.p_mm}
-        try:
-            return table[(j, k)]
-        except KeyError:
-            raise ValueError(f"outcomes must be +1 or -1, got ({j!r}, {k!r})") from None
-
-    def marginal_a(self, j: int) -> float:
-        return self.value(j, 1) + self.value(j, -1)
-
-    def marginal_b(self, k: int) -> float:
-        return self.value(1, k) + self.value(-1, k)
-
-    def correlation(self) -> float:
-        return self.p_pp - self.p_pm - self.p_mp + self.p_mm
+# Outcome labels, in the order of the two trailing axes of a joint table.
+OUTCOMES = (1, -1)
 
 
-def joint_prob_matrix(state: TwoQubitState, pa: MeasurementParams, a: Direction,
-                      pb: MeasurementParams, b: Direction) -> JointProbTable:
-    """Joint table from the 4x4 path: <M_j(a) (x) M_k(b)> on the given state."""
-    def entry(j: int, k: int) -> float:
-        return expectation(state, tensor(povm_element(pa, a, j), povm_element(pb, b, k)))
-    return JointProbTable(p_pp=entry(1, 1), p_pm=entry(1, -1),
-                          p_mp=entry(-1, 1), p_mm=entry(-1, -1))
+def _check_joint_table(table: np.ndarray) -> np.ndarray:
+    """Refuse a (..., 2, 2) joint table with an entry below -ATOL, or whose entries do
+    not sum to 1 within ATOL; each message quotes the worst table."""
+    entries = table.reshape(-1, 4)
+    worst = entries[np.argmin(np.min(entries, axis=1))]
+    if worst.min() < -ATOL:
+        raise ValueError(f"negative joint probability: {tuple(worst.tolist())}")
+    totals = np.sum(entries, axis=1)
+    total = float(totals[np.argmax(np.abs(totals - 1.0))])  # a NaN total is the argmax
+    if not abs(total - 1.0) <= ATOL:
+        raise ValueError(f"joint probabilities sum to {total!r}, expected 1")
+    return table
 
 
-def correlation_via_operators(state: TwoQubitState, pa: MeasurementParams, a: Direction,
-                              pb: MeasurementParams, b: Direction) -> float:
+def joint_prob_matrix(state: TwoQubitState, pa: MeasurementParams, a,
+                      pb: MeasurementParams, b) -> np.ndarray:
+    """Joint table P(j, k), j and k in OUTCOMES, from the 4x4 path: <M_j(a) (x) M_k(b)>
+    on the given state, of shape (..., 2, 2) over the broadcast leading axes."""
+    m_a, m_b = (np.stack([povm_element(p, d, s) for s in OUTCOMES], axis=-3)
+                for p, d in ((pa, a), (pb, b)))
+    return _check_joint_table(expectation(state, tensor(m_a[..., :, None, :, :],
+                                                        m_b[..., None, :, :, :])))
+
+
+def correlation_via_operators(state: TwoQubitState, pa: MeasurementParams, a,
+                              pb: MeasurementParams, b):
     """Correlation from the 4x4 path: <(M+ - M-)(a) (x) (M+ - M-)(b)>."""
     da = povm_element(pa, a, 1) - povm_element(pa, a, -1)
     db = povm_element(pb, b, 1) - povm_element(pb, b, -1)
     return expectation(state, tensor(da, db))
 
 
-def joint_prob_singlet(pa: MeasurementParams, a: Direction,
-                       pb: MeasurementParams, b: Direction) -> JointProbTable:
-    """Closed-form joint table for the singlet: ((1+j eta_a)(1+k eta_b) - jk alpha_a alpha_b a.b)/4.
+def joint_prob_singlet(pa: MeasurementParams, a, pb: MeasurementParams, b) -> np.ndarray:
+    """Closed-form joint table for the singlet, of shape (..., 2, 2) with axes in
+    OUTCOMES order: P(j, k) = ((1+j eta_a)(1+k eta_b) - jk alpha_a alpha_b a.b)/4.
 
     The minus sign on the a.b term carries the singlet's perfect
     anticorrelation (P(+1,+1) = 0 for sharp measurements along a common axis)
     and matches the matrix path above.
     """
-    ab = a.dot(b)
-
-    def entry(j: int, k: int) -> float:
-        return 0.25 * ((1.0 + j * pa.eta) * (1.0 + k * pb.eta)
-                       - j * k * pa.alpha * pb.alpha * ab)
-    return JointProbTable(p_pp=entry(1, 1), p_pm=entry(1, -1),
-                          p_mp=entry(-1, 1), p_mm=entry(-1, -1))
+    eta_a, alpha_a, eta_b, alpha_b, ab = (np.asarray(v)[..., None, None] for v in (
+        pa.eta, pa.alpha, pb.eta, pb.alpha, row_dot(a, b)))
+    j, k = np.array(OUTCOMES, dtype=float)[:, None], np.array(OUTCOMES, dtype=float)
+    return _check_joint_table(0.25 * ((1.0 + j * eta_a) * (1.0 + k * eta_b)
+                                      - j * k * alpha_a * alpha_b * ab))
 
 
 def pair_correlation(spin_state: str, pa: MeasurementParams, a, pb: MeasurementParams, b):
-    """Closed-form pair-state correlation C_xx*alpha_a*alpha_b*(a.b) at (..., 3)
-    direction arrays a, b, with a already inverted by a_side_inversion.
+    """Closed-form pair-state correlation C_xx*alpha_a*alpha_b*(a.b) at Directions or
+    (..., 3) arrays a, b, with a already inverted by a_side_inversion; a float for
+    single directions and params, else an array over their broadcast shape.
 
     singlet: eta_a*eta_b - alpha_a*alpha_b*(a.b).  triplet_m0 (unbiased only):
     +alpha_a*alpha_b*(a.b), i.e. alpha_a*alpha_b*(a_x b_x + a_y b_y - a_z b_z)
@@ -121,24 +102,21 @@ def pair_correlation(spin_state: str, pa: MeasurementParams, a, pb: MeasurementP
     c_xx = spin_correlation_diagonal(spin_state)[0]
     a_dot_b = row_dot(a, b)
     if spin_state == "singlet":
-        return pa.eta * pb.eta + c_xx * pa.alpha * pb.alpha * a_dot_b
-    if pa.eta != 0.0 or pb.eta != 0.0:
+        return _float_or_array(pa.eta * pb.eta + c_xx * pa.alpha * pb.alpha * a_dot_b)
+    if not _all((pa.eta == 0.0) & (pb.eta == 0.0)):
         raise ValueError("triplet correlation is defined for unbiased measurements only")
-    return c_xx * pa.alpha * pb.alpha * a_dot_b
+    return _float_or_array(c_xx * pa.alpha * pb.alpha * a_dot_b)
 
 
-def correlation_singlet(pa: MeasurementParams, a: Direction,
-                        pb: MeasurementParams, b: Direction) -> float:
+def correlation_singlet(pa: MeasurementParams, a, pb: MeasurementParams, b):
     """Closed-form singlet correlation eta_a*eta_b - alpha_a*alpha_b*(a.b)."""
-    return float(pair_correlation("singlet", pa, a.as_array(), pb, b.as_array()))
+    return pair_correlation("singlet", pa, a, pb, b)
 
 
-def correlation_triplet_m0(pa: MeasurementParams, a: Direction,
-                           pb: MeasurementParams, b: Direction) -> float:
+def correlation_triplet_m0(pa: MeasurementParams, a, pb: MeasurementParams, b):
     """Closed-form zero-projection-triplet correlation for unbiased measurements,
     alpha_a*alpha_b*(a_x b_x + a_y b_y - a_z b_z); see pair_correlation."""
-    a_inverted = a_side_inversion("triplet_m0") * a.as_array()
-    return float(pair_correlation("triplet_m0", pa, a_inverted, pb, b.as_array()))
+    return pair_correlation("triplet_m0", pa, a_side_inversion("triplet_m0") * a, pb, b)
 
 
 def parity_flip_z(d: Direction) -> Direction:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quantum import ATOL, Direction, X_AXIS, Y_AXIS, Z_AXIS, row_dot
+from .quantum import ATOL, X_AXIS, Y_AXIS, Z_AXIS, row_dot
 
 GEOM_TOL = 1e-10
 
@@ -66,40 +66,33 @@ class TripleSettings:
         object.__setattr__(self, "violations", tuple(validate_settings(self)))
 
 
-def build_settings(phi: float,
-                   frame: tuple[Direction, Direction, Direction] = DEFAULT_FRAME,
-                   axes: tuple[Direction, Direction, Direction] = DEFAULT_AXES,
-                   ) -> TripleSettings:
+def build_settings(phi: float, frame=DEFAULT_FRAME, axes=DEFAULT_AXES) -> TripleSettings:
     """Construct the triple-measurement settings for opening angle phi in (0, pi].
 
     ``frame`` holds the orthonormal plane normals e_i, ``axes`` the bisectors
-    a_i, with a_i orthogonal to e_i.
+    a_i, with a_i orthogonal to e_i: each three Directions or a (3, 3) array.
     """
     if not 0.0 < phi <= math.pi + GEOM_TOL:
         raise ValueError(f"phi must lie in (0, pi], got {phi!r}")
-    frame = tuple(frame)
-    axes = tuple(axes)
-    if len(frame) != 3 or len(axes) != 3:
+    e, a = (np.array(dirs, dtype=float) for dirs in (frame, axes))
+    if e.shape != (3, 3) or a.shape != (3, 3):
         raise ValueError("frame and axes must each hold three directions")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(frame[i].dot(frame[j])) > GEOM_TOL:
-                raise ValueError(
-                    f"degenerate frame: |e_{i+1}.e_{j+1}| = {abs(frame[i].dot(frame[j])):.3e}")
-    for i in range(3):
-        if abs(axes[i].dot(frame[i])) > GEOM_TOL:
-            raise ValueError(
-                f"axis a_{i+1} must be orthogonal to e_{i+1}, got a.e = {axes[i].dot(frame[i]):.3e}")
-    return TripleSettings(phi, *settings_arrays(phi, frame, axes))
+    for pair, dot in zip(("e_1.e_2", "e_1.e_3", "e_2.e_3"), _pair_dots(e).tolist()):
+        if dot > GEOM_TOL:
+            raise ValueError(f"degenerate frame: |{pair}| = {dot:.3e}")
+    for i, dot in enumerate(row_dot(a, e).tolist(), start=1):
+        if abs(dot) > GEOM_TOL:
+            raise ValueError(f"axis a_{i} must be orthogonal to e_{i}, got a.e = {dot:.3e}")
+    return TripleSettings(phi, *settings_arrays(phi, e, a))
 
 
-def settings_arrays(phi, frame: tuple[Direction, Direction, Direction] = DEFAULT_FRAME,
-                    axes: tuple[Direction, Direction, Direction] = DEFAULT_AXES,
+def settings_arrays(phi, frame=DEFAULT_FRAME, axes=DEFAULT_AXES,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, b') of the construction for a phi array of any shape, each of shape
     ``phi.shape + (3, 3)`` with row i the i-th direction (``a`` is a read-only
-    view).  Nothing is checked here; build_settings checks its inputs."""
-    e, a = (np.array([d.as_array() for d in dirs]) for dirs in (frame, axes))
+    view); frame and axes as in build_settings.  Nothing is checked here;
+    build_settings checks its inputs."""
+    e, a = (np.array(dirs, dtype=float) for dirs in (frame, axes))
     half = 0.5 * np.asarray(phi, dtype=float)[..., None, None]
     c, s = np.cos(half), np.sin(half)
     b, b_prime = _unit(c * a + s * e), _unit(c * a - s * e)

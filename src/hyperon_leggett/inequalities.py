@@ -22,6 +22,7 @@ import numpy as np
 
 from .geometry import TripleSettings, validate_flipped_settings
 from .povm import MeasurementParams, _check_outcome
+from .quantum import _float_or_array
 
 EPairs = Sequence[tuple[float, float]]
 
@@ -56,10 +57,11 @@ class InequalityReport:
         }
 
 
-def _check_probability(name: str, p: float) -> float:
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"{name} = {p!r} is not a probability")
-    return p
+def _check_range(name: str, x: float, low: float, kind: str) -> None:
+    """Refuse x outside [low, 1] by more than 1e-12, or NaN: a probability has low
+    0, a correlation -1."""
+    if not low - 1e-12 <= x <= 1.0 + 1e-12:
+        raise ValueError(f"{name} = {x!r} is not a {kind}")
 
 
 def ch_povm_lhs(p_ab: float, p_abp: float, p_apb: float, p_apbp: float,
@@ -77,7 +79,7 @@ def ch_povm_lhs(p_ab: float, p_abp: float, p_apb: float, p_apbp: float,
     for name, p in (("p_ab", p_ab), ("p_abp", p_abp), ("p_apb", p_apb),
                     ("p_apbp", p_apbp), ("marginal_a_prime", marginal_a_prime),
                     ("marginal_b", marginal_b)):
-        _check_probability(name, p)
+        _check_range(name, p, 0.0, "probability")
     lhs = (p_ab - p_abp + p_apb + p_apbp
            - (1.0 + k * pb.eta) * marginal_a_prime
            - (1.0 + j * pa.eta) * marginal_b
@@ -97,6 +99,8 @@ def chsh_povm(e_ab: float, e_abp: float, e_apb: float, e_apbp: float,
     lhs = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|,
     bound = 2 (|eta_a| + |alpha_a|) (|eta_b| + |alpha_b|).
     """
+    for name, e in (("e_ab", e_ab), ("e_abp", e_abp), ("e_apb", e_apb), ("e_apbp", e_apbp)):
+        _check_range(name, e, -1.0, "correlation")
     lhs = abs(e_ab - e_abp + e_apb + e_apbp)
     bound = 2.0 * (abs(pa.eta) + abs(pa.alpha)) * (abs(pb.eta) + abs(pb.alpha))
     return InequalityReport(
@@ -110,6 +114,9 @@ def _check_e_pairs(e_pairs: EPairs) -> tuple[tuple[float, float], ...]:
     pairs = tuple((float(e), float(ep)) for e, ep in e_pairs)
     if len(pairs) != 3:
         raise ValueError(f"need exactly three (E_i, E_i') pairs, got {len(pairs)}")
+    for i, (e, ep) in enumerate(pairs, start=1):
+        _check_range(f"E_{i}", e, -1.0, "correlation")
+        _check_range(f"E_{i}'", ep, -1.0, "correlation")
     return pairs
 
 
@@ -135,9 +142,8 @@ def leggett_sum_value(pair_sums, alpha_b: float, phi):
     """(|S_1| + |S_2| + |S_3|)/3 + (2|alpha_b|/3)|sin(phi/2)| over pair sums
     S_i = E(a_i,b_i) + E(a_i,b_i') of shape (..., 3), phi broadcasting against (...)."""
     s = np.abs(pair_sums)
-    value = ((s[..., 0] + s[..., 1]) + s[..., 2]) / 3.0 + (
-        (2.0 * abs(alpha_b) / 3.0) * np.abs(np.sin(0.5 * np.asarray(phi))))
-    return value if value.ndim else float(value)
+    return _float_or_array(((s[..., 0] + s[..., 1]) + s[..., 2]) / 3.0 + (
+        (2.0 * abs(alpha_b) / 3.0) * np.abs(np.sin(0.5 * np.asarray(phi)))))
 
 
 def leggett_diff_lhs(settings: TripleSettings, e_pairs: EPairs,
@@ -191,15 +197,13 @@ def optimal_phi(alpha_a: float) -> float:
 def leggett_max_lhs(alpha_a, alpha_b):
     """Pair-state sum-form left-hand side at the optimal angle:
     2 |alpha_b| sqrt(alpha_a^2 + 1/9), elementwise over arrays."""
-    max_lhs = 2.0 * np.abs(alpha_b) * np.hypot(alpha_a, 1.0 / 3.0)
-    return max_lhs if max_lhs.ndim else float(max_lhs)
+    return _float_or_array(2.0 * np.abs(alpha_b) * np.hypot(alpha_a, 1.0 / 3.0))
 
 
 def leggett_sum_curve(phi, alpha_a: float, alpha_b: float):
     """Pair-state sum-form left-hand side as a function of phi (scalar or array):
     2|alpha_a alpha_b| |cos(phi/2)| + (2|alpha_b|/3) |sin(phi/2)|."""
     phi = np.asarray(phi, dtype=float)
-    curve = (2.0 * abs(alpha_a * alpha_b) * np.abs(np.cos(0.5 * phi))
-             + (2.0 * abs(alpha_b) / 3.0) * np.abs(np.sin(0.5 * phi)))
-    return curve if curve.ndim else float(curve)
+    return _float_or_array(2.0 * abs(alpha_a * alpha_b) * np.abs(np.cos(0.5 * phi))
+                           + (2.0 * abs(alpha_b) / 3.0) * np.abs(np.sin(0.5 * phi)))
 

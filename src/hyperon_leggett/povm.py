@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import IDENTITY_2, Direction, is_density_matrix, pauli_dot
+from .quantum import (IDENTITY_2, _all, _float_or_array, is_density_matrix, pauli_dot,
+                      row_dot)
 
 _PARAM_TOL = 1e-12
 
@@ -30,7 +31,8 @@ def _check_outcome(name: str, s: int) -> int:
 
 @dataclass(frozen=True)
 class MeasurementParams:
-    """Bias eta and unsharpness alpha of one side's measurement.
+    """Bias eta and unsharpness alpha of one side's measurement: floats, or arrays
+    of one broadcast shape for a batch of measurements.
 
     Validity requires |eta + alpha| <= 1 and |eta - alpha| <= 1, which is
     exactly the condition for both outcome operators to stay positive.
@@ -42,8 +44,9 @@ class MeasurementParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (abs(self.eta + self.alpha) <= 1.0 + _PARAM_TOL
-                and abs(self.eta - self.alpha) <= 1.0 + _PARAM_TOL):  # also refuses NaN
+        # |eta| + |alpha| rounds exactly as the larger of |eta + alpha| and
+        # |eta - alpha|; NaN compares False, so it is refused too.
+        if not _all(abs(self.eta) + abs(self.alpha) <= 1.0 + _PARAM_TOL):
             raise ValueError(
                 f"invalid measurement parameters eta={self.eta}, alpha={self.alpha}: "
                 "need |eta + alpha| <= 1 and |eta - alpha| <= 1")
@@ -58,28 +61,30 @@ class MeasurementParams:
         return cls(0.0, alpha)
 
 
-def povm_element(params: MeasurementParams, n: Direction, outcome: int) -> np.ndarray:
-    """Measurement operator ((1 + s*eta) + s*alpha*sigma.n)/2 for outcome s."""
+def povm_element(params: MeasurementParams, n, outcome: int) -> np.ndarray:
+    """Measurement operator ((1 + s*eta) + s*alpha*sigma.n)/2 for outcome s, of shape
+    (..., 2, 2) over the broadcast leading axes of the params and n."""
     s = _check_outcome("outcome", outcome)
-    return 0.5 * ((1.0 + s * params.eta) * IDENTITY_2 + s * params.alpha * pauli_dot(n))
+    eta, alpha = (np.asarray(v)[..., None, None] for v in (params.eta, params.alpha))
+    return 0.5 * ((1.0 + s * eta) * IDENTITY_2 + s * alpha * pauli_dot(n))
 
 
-def outcome_probability(state: np.ndarray, params: MeasurementParams,
-                        n: Direction, outcome: int) -> float:
+def outcome_probability(state: np.ndarray, params: MeasurementParams, n, outcome: int):
     """Probability of the given outcome when measuring a 2x2 density matrix along n."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (2, 2) or not is_density_matrix(state):
         raise ValueError("state must be a valid 2x2 density matrix")
-    return float(np.real(np.trace(state @ povm_element(params, n, outcome))))
+    element = povm_element(params, n, outcome)
+    return _float_or_array(np.real(np.trace(state @ element, axis1=-2, axis2=-1)))
 
 
-def mean_polarization(u: Direction, params: MeasurementParams, a: Direction) -> float:
+def mean_polarization(u, params: MeasurementParams, a):
     """Average outcome for a spin polarized along u, measured along a.
 
     Equals eta + alpha * (u.a): the generalized cosine law, reducing to the
     ideal-polarizer cosine law for a sharp unbiased measurement.
     """
-    return params.eta + params.alpha * u.dot(a)
+    return _float_or_array(params.eta + params.alpha * row_dot(u, a))
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ def alpha_from_amplitudes(amps: DecayAmplitudes) -> float:
     return 2.0 * (s.conjugate() * p).real / (abs(s) ** 2 + abs(p) ** 2)
 
 
-def decay_kraus(amps: DecayAmplitudes, n: Direction, outcome: int) -> np.ndarray:
+def decay_kraus(amps: DecayAmplitudes, n, outcome: int) -> np.ndarray:
     """Kraus operator (S + P sigma.(s*n)) / sqrt(2(|S|^2+|P|^2)) of the decay.
 
     The two outcomes label whether the daughter baryon leaves along +n or -n.

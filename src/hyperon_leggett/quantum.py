@@ -50,17 +50,30 @@ class Direction:
             raise ValueError("cannot normalize the zero vector")
         return cls(x / norm, y / norm, z / norm)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """(x, y, z), so a Direction passes wherever a (..., 3) array does."""
+        return np.array([self.x, self.y, self.z], dtype=dtype)
 
     def dot(self, other: "Direction") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
 
-def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot products of (..., 3) direction arrays, written out so each rounds like
+def row_dot(u, v) -> np.ndarray:
+    """Dot products of Directions or (..., 3) arrays, written out so each rounds like
     Direction.dot (a matrix product differs from it in the last bit)."""
+    u, v = np.asarray(u), np.asarray(v)
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _float_or_array(value):
+    """A float for a 0-d result, else the array: single directions give floats."""
+    return value if getattr(value, "ndim", 0) else float(value)
+
+
+def _all(mask) -> bool:
+    """Whether a mask holds only True; a Python bool, from scalar inputs, skips the
+    NumPy call, which costs microseconds."""
+    return mask if type(mask) is bool else bool(mask.all())
 
 
 X_AXIS = Direction(1.0, 0.0, 0.0)
@@ -68,28 +81,33 @@ Y_AXIS = Direction(0.0, 1.0, 0.0)
 Z_AXIS = Direction(0.0, 0.0, 1.0)
 
 
-def pauli_dot(d: Direction) -> np.ndarray:
-    """sigma . d: Hermitian, traceless, eigenvalues +1 and -1."""
-    return d.x * SIGMA_X + d.y * SIGMA_Y + d.z * SIGMA_Z
+def pauli_dot(d) -> np.ndarray:
+    """sigma . d, of shape (..., 2, 2) for a Direction or (..., 3) array d: Hermitian,
+    traceless, eigenvalues +1 and -1."""
+    d = np.asarray(d, dtype=float)[..., None, None]
+    return d[..., 0, :, :] * SIGMA_X + d[..., 1, :, :] * SIGMA_Y + d[..., 2, :, :] * SIGMA_Z
 
 
-def spin_state(u: Direction) -> np.ndarray:
+def spin_state(u) -> np.ndarray:
     """Rank-1 density matrix of a spin polarized along u: (1 + sigma.u)/2."""
     return 0.5 * (IDENTITY_2 + pauli_dot(u))
 
 
 def tensor(m2a: np.ndarray, m2b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the A-side factor first."""
+    """Kronecker product with the A-side factor first, broadcast over leading axes:
+    (..., 2, 2) factors give (..., 4, 4)."""
     m2a = np.asarray(m2a, dtype=complex)
     m2b = np.asarray(m2b, dtype=complex)
-    if m2a.shape != (2, 2) or m2b.shape != (2, 2):
+    if m2a.shape[-2:] != (2, 2) or m2b.shape[-2:] != (2, 2):
         raise ValueError("tensor expects two 2x2 matrices")
-    return np.kron(m2a, m2b)
+    product = m2a[..., :, None, :, None] * m2b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (4, 4))
 
 
 def is_hermitian(m: np.ndarray) -> bool:
+    """Every matrix of a (..., n, n) stack within ATOL of its conjugate transpose."""
     m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) < ATOL)
+    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) < ATOL)
 
 
 def is_positive_semidefinite(m: np.ndarray) -> bool:
@@ -139,14 +157,16 @@ def triplet_m0_state() -> TwoQubitState:
     return TwoQubitState(np.outer(psi, psi.conj()))
 
 
-def expectation(state: TwoQubitState, op4: np.ndarray) -> float:
-    """tr(rho op4) for a Hermitian two-qubit observable, returned as a real number."""
+def expectation(state: TwoQubitState, op4: np.ndarray):
+    """tr(rho op4) for Hermitian two-qubit observables, real: a float for one 4x4
+    observable, an array over the leading axes of a (..., 4, 4) stack."""
     op4 = np.asarray(op4, dtype=complex)
-    if op4.shape != (4, 4):
+    if op4.shape[-2:] != (4, 4):
         raise ValueError("expectation expects a 4x4 observable")
     if not is_hermitian(op4):
         raise ValueError("observable must be Hermitian")
-    value = complex(np.trace(state.rho @ op4))
-    if abs(value.imag) > ATOL:
-        raise ArithmeticError(f"expectation value has imaginary residue {value.imag:g}")
-    return value.real
+    value = np.trace(state.rho @ op4, axis1=-2, axis2=-1)
+    residue = np.max(np.abs(value.imag))
+    if residue > ATOL:
+        raise ArithmeticError(f"expectation value has imaginary residue {residue:g}")
+    return _float_or_array(value.real)

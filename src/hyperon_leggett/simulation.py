@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +47,7 @@ from .correlations import a_side_inversion, spin_correlation_diagonal
 from .eventtext import _format_rows, _read_rows
 from .geometry import TripleSettings
 from .inequalities import leggett_sum_value
-from .quantum import PAULI, Direction, expectation, row_dot, tensor
+from .quantum import PAULI, expectation, row_dot, tensor
 
 GENERATOR = "philox4x64"
 
@@ -63,13 +64,20 @@ Moments = tuple[int, np.ndarray, np.ndarray]
 Block = tuple[np.ndarray, np.ndarray]
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+def check_seed(seed: Any, name: str = "seed") -> int:
+    """The seed as an int, refused (message led by ``name``) outside [0, 2**64)."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}") from None
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    return value
 
 
-def _generator_at(seed: int, offset: int) -> np.random.Generator:
-    """The stream of _generator(seed) after its first ``offset`` doubles."""
-    bit_generator = np.random.Philox(key=np.uint64(seed))
+def _generator(seed: int, offset: int = 0) -> np.random.Generator:
+    """The Philox stream keyed by ``seed``, after its first ``offset`` doubles."""
+    bit_generator = np.random.Philox(key=np.uint64(check_seed(seed)))
     bit_generator.advance(offset // 4)  # one counter step gives four 64-bit words
     rng = np.random.Generator(bit_generator)
     rng.random(offset % 4)
@@ -83,8 +91,8 @@ def spin_correlation_matrix(channel: ProductionChannel) -> np.ndarray:
     diagonal, whose exact entries are returned so the sampler sees clean ones.
     """
     state = channel_spin_state(channel)
-    computed = np.array([[expectation(state, tensor(si, sj)) for sj in PAULI]
-                         for si in PAULI])
+    pauli = np.array(PAULI)
+    computed = expectation(state, tensor(pauli[:, None], pauli[None, :]))
     expected = np.diag(spin_correlation_diagonal(channel.spin_state))
     residual = float(np.max(np.abs(computed - expected)))
     if residual > 1e-12:
@@ -127,7 +135,7 @@ class EventSample:
     catalog_sha256: str = "-"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "alpha_a", float(self.alpha_a))
         object.__setattr__(self, "alpha_b", float(self.alpha_b))
         spin_correlation_diagonal(self.spin_state)  # refuses an unknown pair state
@@ -187,7 +195,7 @@ def pair_blocks(channel: ProductionChannel, n_events: int, seed: int) -> Iterato
     # C is +-diagonal (checked here), so n_a C needs no matrix product.
     c_diag = np.diag(spin_correlation_matrix(channel))
     alpha_ab = channel.mode_a.alpha * channel.mode_b.alpha
-    streams = [_generator_at(seed, kind * n_events) for kind in range(5)]
+    streams = [_generator(seed, kind * n_events) for kind in range(5)]
     return (_pair_block(streams, min(_BLOCK_ROWS, n_events - start), c_diag, alpha_ab)
             for start in range(0, n_events, _BLOCK_ROWS))
 
@@ -244,13 +252,14 @@ class EstimatedCorrelation:
             raise ValueError("std_error must be >= 0")
 
 
-def estimate_correlation(sample: EventSample, a: Direction, b: Direction) -> EstimatedCorrelation:
+def estimate_correlation(sample: EventSample, a, b) -> EstimatedCorrelation:
     """Moment estimator 9 <(n_A.a)(n_B.b)> = w.mean(x), unbiased for the channel
-    correlation at raw directions (a, b); standard error from the event spread."""
+    correlation at raw directions (a, b), each a Direction or a (3,) array; standard
+    error from the event spread."""
     if sample.n_events < 100:
         raise ValueError(f"sample too small: {sample.n_events} events, need at least 100")
     count, mean, scatter = event_moments(sample)
-    w = 9.0 * np.outer(a.as_array(), b.as_array()).ravel()
+    w = 9.0 * np.outer(a, b).ravel()
     return EstimatedCorrelation(e_hat=float(w @ mean),
                                 std_error=math.sqrt(w @ scatter @ w / ((count - 1) * count)),
                                 n_used=count)
@@ -402,6 +411,7 @@ def load_events(path: str | Path) -> EventSample:
                 fields[key] = kind(meta[key])
             except ValueError:
                 raise ValueError(f"{p}: header field {key} is not {noun}: {meta[key]!r}") from None
+        check_seed(fields["seed"], f"{p}: header field seed")
         n_events = fields["n_events"]
         if n_events < 1:
             raise ValueError(f"{p}: holds no events (n_events {meta['n_events']})")

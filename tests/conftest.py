@@ -40,7 +40,7 @@ def random_rotation(rng) -> np.ndarray:
 
 
 def rotated(rotation: np.ndarray, d: Direction) -> Direction:
-    x, y, z = rotation @ d.as_array()
+    x, y, z = rotation @ np.asarray(d)
     return Direction.normalized(x, y, z)
 
 
@@ -86,7 +86,7 @@ def sample_single_decays(u: Direction, alpha: float, n_events: int, seed: int) -
         raise ValueError(f"|alpha| must not exceed 1, got {alpha!r}")
     if n_events < 1:
         raise ValueError("n_events must be at least 1")
-    axes = np.broadcast_to(u.as_array(), (n_events, 3))
+    axes = np.broadcast_to(np.asarray(u), (n_events, 3))
     return _sample_about_axes(axes, alpha, _generator(seed))
 
 

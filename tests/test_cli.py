@@ -10,7 +10,7 @@ import pytest
 from hyperon_leggett import geometry, sample_pair_decay, save_events
 from hyperon_leggett.catalog import (catalog_sha256, default_catalog_path, load_catalog,
                                      make_pair_channel)
-from hyperon_leggett.cli import main
+from hyperon_leggett.cli import _oracle_residuals, _run_checks, main
 from hyperon_leggett.correlations import pair_correlation
 from hyperon_leggett.inequalities import (leggett_max_lhs, leggett_sum_value,
                                           leggett_violation_condition)
@@ -521,6 +521,15 @@ class TestCheck:
         code, out, err = run(["check", "--seed", seed], capsys)
         assert (code, out) == (2, "")
         assert f"error: --seed must be in [0, 2**64), got {seed}" in err
+
+    def test_oracle_residuals_do_not_depend_on_the_block_size(self):
+        # check draws its trials _BLOCK_ROWS at a time; one call over every trial
+        # from the same stream gives the same maxima.
+        trials = _BLOCK_ROWS + 7
+        whole = _oracle_residuals(np.random.default_rng(5), trials, False)
+        blocked = _run_checks(5, trials, False)[:len(whole)]
+        assert [(name, detail) for name, _, detail in blocked] == [
+            (name, f"max residual {r:.3e} (tol 1e-12)") for name, r in whole.items()]
 
     def test_negative_control_fails_and_names_identity(self, capsys):
         code, out, _ = run(["check", "--negative-control"], capsys)

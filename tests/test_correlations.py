@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hyperon_leggett import (JointProbTable, MeasurementParams, X_AXIS, Z_AXIS,
+from hyperon_leggett import (OUTCOMES, MeasurementParams, X_AXIS, Z_AXIS,
                              correlation_singlet, correlation_triplet_m0,
                              correlation_via_operators, joint_prob_matrix,
                              joint_prob_singlet, parity_flip_z, singlet_state,
                              triplet_m0_state)
-from hyperon_leggett.correlations import (PAIR_STATES, a_side_inversion, pair_correlation,
-                                          pair_density_matrix, spin_correlation_diagonal)
+from hyperon_leggett.correlations import (PAIR_STATES, _check_joint_table, a_side_inversion,
+                                          pair_correlation, pair_density_matrix,
+                                          spin_correlation_diagonal)
 from hyperon_leggett.quantum import Direction
 
 from conftest import random_direction, random_params
@@ -17,38 +18,33 @@ from conftest import random_direction, random_params
 SHARP = MeasurementParams.sharp()
 
 
-class TestJointProbTable:
-    def test_invariants(self):
-        t = JointProbTable(0.25, 0.25, 0.25, 0.25)
-        assert t.correlation() == 0.0
-        assert t.marginal_a(1) == pytest.approx(0.5)
-        assert t.marginal_b(-1) == pytest.approx(0.5)
+def entry(table, j, k):
+    """P(j, k) of a joint table, j and k in OUTCOMES."""
+    return table[..., OUTCOMES.index(j), OUTCOMES.index(k)]
 
+
+class TestJointTableCheck:
     def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError):
-            JointProbTable(-0.1, 0.4, 0.4, 0.3)
+        message = r"negative joint probability: \(-0.1, 0.4, 0.4, 0.3\)"
+        with pytest.raises(ValueError, match=message):
+            _check_joint_table(np.array([[-0.1, 0.4], [0.4, 0.3]]))
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            JointProbTable(0.3, 0.3, 0.3, 0.3)
-
-    def test_bad_outcome_label(self):
-        t = JointProbTable(0.25, 0.25, 0.25, 0.25)
-        with pytest.raises(ValueError):
-            t.value(0, 1)
+        with pytest.raises(ValueError, match="joint probabilities sum to 1.2, expected 1"):
+            _check_joint_table(np.array([[0.3, 0.3], [0.3, 0.3]]))
 
 
 class TestMatrixPath:
     def test_singlet_sharp_anticorrelation(self, rng):
         a = random_direction(rng)
         table = joint_prob_matrix(singlet_state(), SHARP, a, SHARP, a)
-        assert table.p_pp == pytest.approx(0.0, abs=1e-12)
-        assert table.p_pm == pytest.approx(0.5, abs=1e-12)
+        assert entry(table, 1, 1) == pytest.approx(0.0, abs=1e-12)
+        assert entry(table, 1, -1) == pytest.approx(0.5, abs=1e-12)
 
     def test_triplet_sharp_along_z(self):
         table = joint_prob_matrix(triplet_m0_state(), SHARP, Z_AXIS, SHARP, Z_AXIS)
-        assert table.p_pp == pytest.approx(0.0, abs=1e-12)
-        assert table.p_pm == pytest.approx(0.5, abs=1e-12)
+        assert entry(table, 1, 1) == pytest.approx(0.0, abs=1e-12)
+        assert entry(table, 1, -1) == pytest.approx(0.5, abs=1e-12)
 
     def test_raw_numpy_cross_check(self):
         # independent recomputation with nothing but numpy primitives
@@ -77,7 +73,7 @@ class TestMatrixPath:
                                   Direction(0.0, 1.0, 0.0))
         for j in (1, -1):
             for k in (1, -1):
-                assert table.value(j, k) == pytest.approx(raw[(j, k)], abs=1e-14)
+                assert entry(table, j, k) == pytest.approx(raw[(j, k)], abs=1e-14)
 
 
 class TestClosedFormsAgainstMatrixPath:
@@ -90,7 +86,7 @@ class TestClosedFormsAgainstMatrixPath:
             matrix = joint_prob_matrix(state, pa, a, pb, b)
             for j in (1, -1):
                 for k in (1, -1):
-                    assert abs(closed.value(j, k) - matrix.value(j, k)) < 1e-12
+                    assert abs(entry(closed, j, k) - entry(matrix, j, k)) < 1e-12
 
     def test_singlet_correlation(self, rng):
         state = singlet_state()
@@ -115,7 +111,8 @@ class TestClosedFormsAgainstMatrixPath:
             pa, pb = random_params(rng), random_params(rng)
             a, b = random_direction(rng), random_direction(rng)
             table = joint_prob_singlet(pa, a, pb, b)
-            assert table.correlation() == pytest.approx(correlation_singlet(pa, a, pb, b), abs=1e-12)
+            correlation = np.sum(np.outer(OUTCOMES, OUTCOMES) * table)
+            assert correlation == pytest.approx(correlation_singlet(pa, a, pb, b), abs=1e-12)
 
     def test_marginal_consistency(self, rng):
         # both pair states have maximally mixed one-side reductions
@@ -124,10 +121,10 @@ class TestClosedFormsAgainstMatrixPath:
                 pa, pb = random_params(rng), random_params(rng)
                 a, b = random_direction(rng), random_direction(rng)
                 table = joint_prob_matrix(state, pa, a, pb, b)
-                for j in (1, -1):
-                    assert table.marginal_a(j) == pytest.approx(0.5 * (1 + j * pa.eta), abs=1e-12)
-                for k in (1, -1):
-                    assert table.marginal_b(k) == pytest.approx(0.5 * (1 + k * pb.eta), abs=1e-12)
+                for j, marginal_a in zip(OUTCOMES, table.sum(axis=1)):
+                    assert marginal_a == pytest.approx(0.5 * (1 + j * pa.eta), abs=1e-12)
+                for k, marginal_b in zip(OUTCOMES, table.sum(axis=0)):
+                    assert marginal_b == pytest.approx(0.5 * (1 + k * pb.eta), abs=1e-12)
 
 
 class TestCorrelationValues:
@@ -187,7 +184,7 @@ class TestPairStateTable:
     def test_pair_correlation_refuses_unknown_state(self):
         # A misspelled singlet must not be read as the triplet.
         with pytest.raises(ValueError, match="unknown spin state"):
-            pair_correlation("Singlet", SHARP, X_AXIS.as_array(), SHARP, X_AXIS.as_array())
+            pair_correlation("Singlet", SHARP, np.asarray(X_AXIS), SHARP, np.asarray(X_AXIS))
 
     def test_inversions(self):
         assert a_side_inversion("singlet").tolist() == [1.0, 1.0, 1.0]
@@ -200,7 +197,7 @@ class TestPairStateTable:
             pa = MeasurementParams.unsharp(rng.uniform(-1, 1))
             pb = MeasurementParams.unsharp(rng.uniform(-1, 1))
             a, b = random_direction(rng), random_direction(rng)
-            closed = pair_correlation(state, pa, inversion * a.as_array(), pb, b.as_array())
+            closed = pair_correlation(state, pa, inversion * np.asarray(a), pb, np.asarray(b))
             matrix = correlation_via_operators(pair_density_matrix(state), pa, a, pb, b)
             assert abs(closed - matrix) < 1e-12
 

@@ -118,7 +118,7 @@ class TestValidate:
         s = build_settings(1.0)
         x, y, z = s.b[0]
         bad_b = Direction.normalized(x + 1e-3, y, z)
-        tampered = TripleSettings(phi=s.phi, a=s.a, b=[bad_b.as_array(), s.b[1], s.b[2]],
+        tampered = TripleSettings(phi=s.phi, a=s.a, b=[np.asarray(bad_b), s.b[1], s.b[2]],
                                   b_prime=s.b_prime)
         messages = validate_settings(tampered)
         assert any(m.startswith("bisection[1]") for m in messages)
@@ -135,7 +135,7 @@ class TestValidate:
         b_prime = tuple(Direction.normalized(c * a.x - s_half * e.x, c * a.y - s_half * e.y,
                                              c * a.z - s_half * e.z)
                         for a, e in zip(axes, frame))
-        tampered = TripleSettings(phi, *([d.as_array() for d in dirs]
+        tampered = TripleSettings(phi, *([np.asarray(d) for d in dirs]
                                          for dirs in (axes, b, b_prime)))
         messages = validate_settings(tampered)
         assert any(m.startswith("difference_orthogonality[1,2]") for m in messages)

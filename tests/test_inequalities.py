@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperon_leggett import (MeasurementParams, build_settings, ch_povm_lhs,
+from hyperon_leggett import (OUTCOMES, MeasurementParams, build_settings, ch_povm_lhs,
                              chsh_povm, correlation_singlet, flip_b_prime,
                              joint_prob_singlet, leggett_diff_lhs,
                              leggett_max_lhs, leggett_sum_curve, leggett_sum_lhs,
@@ -56,7 +56,7 @@ class TestChBound:
         # frozen independently: the co-planar optimum reaches (sqrt(2)-1)/2
         a, ap, b, bp, j, k = ch_optimal_settings()
         def p(x, y):
-            return joint_prob_singlet(SHARP, x, SHARP, y).value(j, k)
+            return joint_prob_singlet(SHARP, x, SHARP, y)[OUTCOMES.index(j), OUTCOMES.index(k)]
         report = ch_povm_lhs(p(a, b), p(a, bp), p(ap, b), p(ap, bp),
                              0.5, 0.5, SHARP, SHARP, j, k)
         assert report.lhs == pytest.approx((math.sqrt(2) - 1) / 2, abs=1e-12)
@@ -69,7 +69,7 @@ class TestChBound:
         pb = MeasurementParams(0.0, 0.8)
         a, ap, b, bp, j, k = ch_optimal_settings()
         def p(x, y):
-            return joint_prob_singlet(pa, x, pb, y).value(j, k)
+            return joint_prob_singlet(pa, x, pb, y)[OUTCOMES.index(j), OUTCOMES.index(k)]
         report = ch_povm_lhs(p(a, b), p(a, bp), p(ap, b), p(ap, bp),
                              0.5 * (1 + j * pa.eta), 0.5 * (1 + k * pb.eta),
                              pa, pb, j, k)
@@ -132,6 +132,12 @@ class TestChshBound:
             assert report.violated
             assert report.lhs == pytest.approx(2 * math.sqrt(2) * abs(alpha_a * alpha_b), abs=1e-12)
 
+    @pytest.mark.parametrize("e_ab", [5.0, -1.0 - 1e-9, math.nan, math.inf])
+    def test_non_correlation_refused(self, e_ab):
+        # chsh_povm(5, 0, 0, 0, ...) used to report a violation of the sharp bound.
+        with pytest.raises(ValueError, match=r"e_ab = .* is not a correlation"):
+            chsh_povm(e_ab, 0.0, 0.0, 0.0, SHARP, SHARP)
+
 
 class TestLeggettSum:
     def test_quantum_input_reproduces_curve(self):
@@ -165,6 +171,13 @@ class TestLeggettSum:
         with pytest.raises(ValueError, match="three"):
             leggett_sum_lhs(build_settings(1.0), [(0.0, 0.0)] * 2, 1.0)
 
+    @pytest.mark.parametrize("pairs, name", [([(math.nan, 0.0)] * 3, "E_1"),
+                                             ([(0.0, 0.0), (0.0, 1.5), (0.0, 0.0)], "E_2'")])
+    def test_non_correlation_refused(self, pairs, name):
+        # A NaN used to give lhs nan with violated False: a silent "no violation".
+        with pytest.raises(ValueError, match=f"{name} = .* is not a correlation"):
+            leggett_sum_lhs(build_settings(1.0), pairs, 0.98)
+
 
 class TestLeggettDiff:
     def test_equals_sum_form_on_flipped_layout(self, rng):
@@ -196,6 +209,11 @@ class TestLeggettDiff:
         flipped = flip_b_prime(build_settings(1.0))
         with pytest.raises(ValueError, match="unbiased"):
             leggett_diff_lhs(flipped, [(0.0, 0.0)] * 3, 0.5, eta_b=0.1)
+
+    def test_non_correlation_refused(self):
+        flipped = flip_b_prime(build_settings(1.0))
+        with pytest.raises(ValueError, match="E_3 = -inf is not a correlation"):
+            leggett_diff_lhs(flipped, [(0.0, 0.0), (0.0, 0.0), (-math.inf, 0.0)], 0.5)
 
     def test_non_orthogonal_sums_rejected(self):
         # skewed bisectors are fine for the sum form (a_i need not be

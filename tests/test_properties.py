@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hyperon_leggett import (DecayMode, Direction, MeasurementParams, ProductionChannel,
                              build_settings, leggett_sum_lhs, load_events,
                              sample_pair_decay, save_events)
-from hyperon_leggett.catalog import MOTHERS, parse_catalog
+from hyperon_leggett.catalog import MOTHERS, channel_correlation, parse_catalog
 from hyperon_leggett.cli import _emit_csv, main
 from hyperon_leggett.correlations import (correlation_singlet, correlation_triplet_m0,
                                           correlation_via_operators, joint_prob_matrix,
@@ -126,9 +126,7 @@ def test_sum_form_lhs_invariant_under_rotation(phi, frame_axes, channel):
 def test_singlet_closed_forms_match_matrix_path(pa, a, pb, b):
     closed = joint_prob_singlet(pa, a, pb, b)
     matrix = joint_prob_matrix(singlet_state(), pa, a, pb, b)
-    for j in (1, -1):
-        for k in (1, -1):
-            assert abs(closed.value(j, k) - matrix.value(j, k)) <= 1e-12
+    assert np.max(np.abs(closed - matrix)) <= 1e-12
     assert abs(correlation_singlet(pa, a, pb, b)
                - correlation_via_operators(singlet_state(), pa, a, pb, b)) <= 1e-12
 
@@ -138,6 +136,43 @@ def test_singlet_closed_forms_match_matrix_path(pa, a, pb, b):
 def test_triplet_closed_form_matches_matrix_path(pa, a, pb, b):
     assert abs(correlation_triplet_m0(pa, a, pb, b)
                - correlation_via_operators(triplet_m0_state(), pa, a, pb, b)) <= 1e-12
+
+
+def batched(trials):
+    """Trials of (pa, a, pb, b) as one call's arguments: MeasurementParams of arrays
+    and (n, 3) direction arrays."""
+    pa, a, pb, b = zip(*trials)
+    params = [MeasurementParams(np.array([p.eta for p in ps]), np.array([p.alpha for p in ps]))
+              for ps in (pa, pb)]
+    return params[0], np.array(a), params[1], np.array(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(measurement_params(True), directions, measurement_params(True),
+                          directions), min_size=1, max_size=50),
+       st.lists(st.tuples(measurement_params(False), directions, measurement_params(False),
+                          directions), min_size=1, max_size=50),
+       st.sampled_from(sorted(MOTHERS)))
+def test_batched_calls_equal_per_trial_calls_bit_for_bit(biased, unbiased, mother):
+    first = unbiased[0]
+    channel = ProductionChannel(mother, DecayMode("A", "x", first[0].alpha, 0.0),
+                                DecayMode("B", "x", first[2].alpha, 0.0))
+    cases = [
+        (biased, lambda pa, a, pb, b: joint_prob_matrix(singlet_state(), pa, a, pb, b)),
+        (unbiased, lambda pa, a, pb, b: joint_prob_matrix(triplet_m0_state(), pa, a, pb, b)),
+        (biased, joint_prob_singlet),
+        (biased, lambda pa, a, pb, b: correlation_via_operators(singlet_state(), pa, a, pb, b)),
+        (unbiased,
+         lambda pa, a, pb, b: correlation_via_operators(triplet_m0_state(), pa, a, pb, b)),
+        (biased, correlation_singlet),
+        (unbiased, correlation_triplet_m0),
+        (unbiased, lambda pa, a, pb, b: channel_correlation(channel, a, b)),
+    ]
+    for trials, function in cases:
+        batch = np.asarray(function(*batched(trials)))
+        loop = np.array([function(*trial) for trial in trials])
+        assert batch.shape == loop.shape
+        assert (batch.view(np.uint64) == loop.view(np.uint64)).all()
 
 
 @st.composite

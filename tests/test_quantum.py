@@ -32,7 +32,7 @@ class TestDirection:
 
     def test_dot_and_negation(self):
         assert X_AXIS.dot(Z_AXIS) == 0.0
-        assert Direction(*-Z_AXIS.as_array()).z == -1.0
+        assert Direction(*-np.asarray(Z_AXIS)).z == -1.0
 
     def test_from_polar(self):
         d = Direction.normalized(math.sin(math.pi / 2), 0.0, math.cos(math.pi / 2))

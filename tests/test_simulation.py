@@ -79,7 +79,7 @@ class TestSingleDecay:
         a = random_direction(rng)
         alpha = -0.6
         n = sample_single_decays(u, alpha, 200_000, seed=13)
-        proj = 3.0 * (n @ a.as_array())
+        proj = 3.0 * (n @ np.asarray(a))
         se = proj.std(ddof=1) / math.sqrt(len(proj))
         assert abs(proj.mean() - alpha * u.dot(a)) < 5 * se
 
@@ -89,7 +89,7 @@ class TestSingleDecay:
         u = Direction.normalized(0.3, -0.5, 0.8)
         for alpha in (-1.0, -0.4, 1e-9, 0.98, 1.0):
             n = sample_single_decays(u, alpha, 100_000, seed=14)
-            result = stats.kstest(n @ u.as_array(), linear_cosine_cdf(alpha))
+            result = stats.kstest(n @ np.asarray(u), linear_cosine_cdf(alpha))
             assert result.pvalue > 0.01, alpha
 
 
@@ -524,6 +524,17 @@ class TestEventFile:
             load_events(path)
         assert str(exc.value) == f"{path}: header field {field} is not {noun}: '{value}'"
 
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_header_seed_out_of_range_rejected(self, tmp_path, value):
+        # Such a file used to load; its bootstrap then overflowed naming neither.
+        path = tmp_path / "events.txt"
+        save_events(path, sample_pair_decay(SIGMA_LIKE, 200, seed=55))
+        text = path.read_text(encoding="utf-8").replace("# seed 55\n", f"# seed {value}\n")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_events(path)
+        assert str(exc.value) == f"{path}: header field seed must be in [0, 2**64), got {value}"
+
     # Body line 3 of a saved file is line 15: 12 header lines come first.
     @pytest.mark.parametrize("edit, line, message", [
         (lambda rows: rows[:2] + [b"0.1 0.2 0.3 0.4 0.5"] + rows[3:], 15, "expected 6 numbers"),
@@ -586,6 +597,21 @@ class TestEventFile:
         with pytest.raises(ValueError, match="unknown spin state"):
             EventSample(n_a=unit, n_b=unit, seed=1, mother="eta_c", hyperon_a="A",
                         hyperon_b="B", alpha_a=0.5, alpha_b=0.5, spin_state="triplet")
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.7, "seed must be an integer in [0, 2**64), got 1.7"),
+        (-1, "seed must be in [0, 2**64), got -1"),
+        (2**64, f"seed must be in [0, 2**64), got {2**64}")])
+    def test_seed_outside_the_range_rejected(self, seed, message):
+        unit = np.array([[0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError) as exc:
+            EventSample(n_a=unit, n_b=unit, seed=seed, mother="eta_c", hyperon_a="A",
+                        hyperon_b="B", alpha_a=0.5, alpha_b=0.5, spin_state="singlet")
+        assert str(exc.value) == message
+
+    def test_sampling_refuses_a_seed_outside_the_range(self):
+        with pytest.raises(ValueError, match=re.escape("seed must be in [0, 2**64), got -1")):
+            sample_pair_decay(SIGMA_LIKE, 200, seed=-1)
 
     def test_non_unit_rows_rejected(self):
         bad = np.array([[0.0, 0.0, 2.0]])
