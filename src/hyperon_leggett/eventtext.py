@@ -1,122 +1,122 @@
 """Event rows as text: the exact "%.17g" writer and the reader that inverts it.
 
-A direction component x with |x| in [1e-4, 1) is written as its sign, "0.", the
-zeros after the point and 17 significant digits without trailing zeros; its
-digits come exactly from _significant_digits.  The reader parses that form in
-whole-array operations and proves each value by formatting it back through the
-same kernel.  Other values (0, +-1, the exponent form, non-finite) are written by
-"%.17g" itself and read by float().
+A direction component x with |x| in [1e-4, 1) is written as its sign, "0.", the zeros after
+the point and the 17 significant digits of _significant_digits without trailing zeros, in a
+_Workspace allocated once per stream.  The reader parses that form in whole-array operations
+and proves each value by formatting it back through the same kernel.  Other values (0, +-1,
+the exponent form, non-finite) are written by "%.17g" itself and read by float().
 """
 
-from __future__ import annotations
-
-import functools
 import re
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
-
-def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp split: v = hi + lo exactly, each half with at most 26 significant bits."""
-    t = v * 134217729.0  # 2**27 + 1
-    hi = t - (t - v)
-    return hi, v - hi
+# 10**(17 + z) for z zeros after "0." (exact doubles), and its Veltkamp split hi + lo.
+_SCALES = np.array([1e17, 1e18, 1e19, 1e20]) * np.array([[1.0], [134217729.0], [1.0]])
+_SCALES[1] -= _SCALES[1] - _SCALES[0]  # at most 26 significant bits
+_SCALES[2] -= _SCALES[1]
 
 
-# 10**(17 + z) for z zeros after "0.": exact doubles.
-_SCALES = np.array([1e17, 1e18, 1e19, 1e20])
+def _significant_digits(a: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros z after "0." and D = round-half-even(a 10**(17 + z)), the 17 significant digits
+    as an int64, of each a in [1e-4, 1), exactly (D is finite for a in [0, 2]), as views of the
+    first and last rows of ``scratch``, a C-contiguous (7, a.size) float array it overwrites.
+    The decade comparisons are exact: 0.1, 0.01, 0.001 and 1e-4 lie just above their powers of
+    ten.  Dekker's two-product (Numer. Math. 18, 1971) gives a 10**(17 + z) = p + e exactly, p
+    an even integer >= 2**53, so p + rint(e) rounds a tie to even."""
+    z, d = scratch[0].view(np.intp), scratch[6].view(np.int64)
+    p, hi, lo = scratch[4:]
+    np.less(a, 0.1, out=z)
+    z += np.less(a, 0.01, out=hi.view(np.bool_)[:a.size])
+    z += np.less(a, 0.001, out=hi.view(np.bool_)[:a.size])
+    scale, s_hi, s_lo = np.take(_SCALES, z, axis=1, out=scratch[1:4], mode="clip")
+    np.multiply(a, scale, out=p)
+    np.multiply(a, 134217729.0, out=hi)  # a = hi + lo
+    hi -= np.subtract(hi, a, out=lo)
+    np.subtract(a, hi, out=lo)
+    e = np.subtract(np.multiply(hi, s_hi, out=scale), p, out=scale)
+    e += np.multiply(hi, s_lo, out=hi)
+    e += np.multiply(lo, s_hi, out=s_hi)
+    e += np.multiply(lo, s_lo, out=lo)
+    rounded = np.rint(e, out=hi.view(np.int64), casting="unsafe")
+    np.copyto(d, p, casting="unsafe")
+    d += rounded
+    return z, d
 
 
-@functools.cache
-def _group_words() -> np.ndarray:
-    """The "%04d" text of each 4-digit group, then the same with trailing zeros as NUL
-    bytes (0 is all NUL) for the last groups of a number: one native uint32 word each.
-    Built on first use, so commands that write no events neither build it nor hold it."""
-    place = np.array([1000, 100, 10, 1], dtype=np.uint16)
-    digits = (np.arange(10000, dtype=np.uint16)[:, None] // place % 10
-              + ord("0")).astype(np.uint8)
-    trailing = np.logical_and.accumulate(digits[:, ::-1] == ord("0"), axis=1)[:, ::-1]
-    stripped = np.where(trailing, 0, digits).astype(np.uint8)
-    words = np.concatenate([digits, stripped]).view(np.uint32).ravel()
-    words.setflags(write=False)
-    return words
+class _Workspace:
+    """The scratch of _format_rows for up to ``rows`` rows, allocated once per stream, and its
+    tables (built here, so commands that write no events never build them)."""
+
+    def __init__(self, rows: int) -> None:
+        self.scratch, self.slots = np.empty(48 * rows), np.empty((6 * rows, 3), dtype=np.int64)
+        self.text = np.empty(150 * rows + 24, dtype=np.uint8).data  # tokens take <= 25 bytes
+        self.windows = np.ndarray((150 * rows + 1,), "V24", self.text, strides=(1,))
+        # At 84 sign + 21 z + d, a token's head (" ", sign, "0.", z zeros, its leading digit
+        # d) and 8 times its length, the shift of the digits after it; 0 unless 0 < d < 10.
+        self.heads = np.array([[int.from_bytes(h, "little"), 8 * len(h)] if 0 < d < 10 else [0, 0]
+                               for sign in (0, 1) for z in range(4) for d in range(21)
+                               for h in [b" -"[:1 + sign] + b"0." + b"0" * z + b"%d" % d]],
+                              dtype=np.int64).T
+        # The "%04d" text of each 4-digit group as a native word, then again for a last group with,
+        # in the high half, the length of the 16 digits it ends less trailing zeros (0 for 0000).
+        digits = np.arange(10000, dtype=np.uint16)[:, None] // np.uint16([1e3, 1e2, 10, 1]) % 10
+        zeros = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1).sum(axis=1)  # trailing
+        words = (digits + 48).astype(np.uint8).view(np.uint32).ravel().astype(np.int64)
+        self.groups = np.concatenate([words, words | (16 - zeros) * (zeros < 4) << 32])
 
 
-# Sign, "0.", z zeros and the leading digit, at index 40 sign + 10 z + digit: two words.
-_HEAD_WORDS = np.frombuffer(b"".join(
-    (b"-" if negative else b"\0") + b"0." + (b"0" * z).ljust(3, b"\0") + b"%d\0" % digit
-    for negative in (0, 1) for z in range(4) for digit in range(10)),
-    dtype=np.uint32).reshape(-1, 2)
-_SEPARATOR_WORDS = np.frombuffer(b" \0\0\0" * 5 + b"\n\0\0\0", dtype=np.uint32)
+def _format_rows(rows: np.ndarray, work: _Workspace) -> memoryview:
+    """The bytes of ``"%.17g %.17g %.17g %.17g %.17g %.17g\\n" % row`` for each row of a (k, 6)
+    float array, made in ``work``: a view of it that the next call overwrites.  Each x with
+    |x| in [1e-4, 1) whose 17 digits do not end in 0000 is put, the separator before it, in a
+    24-byte slot: its head, then the other 16 digits shifted to follow it.  Slots are stored
+    at the tokens' offsets in index order, each over the previous one past that one's length
+    (which leaves out trailing zeros).  Other values, given lengths below 17, take "%.17g"."""
+    x, n = rows.reshape(-1), rows.size
+    scratch = work.scratch[:8 * n].reshape(8, n)
+    ints = scratch.view(np.int64)
+    z, d = _significant_digits(np.fmin(np.abs(x, out=scratch[7]), 2.0, out=scratch[7]),
+                               scratch[:7])
+    index = ints[7]  # the leading digit, then groups of 4 digits: rows 3 to 5, and d last
+    for out, power in zip((index, *ints[3:6]), (10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+        np.floor_divide(d, power, out=out)
+        d -= np.multiply(out, power, out=ints[1])
+    d += 10000  # the last group's word
+    index += np.multiply(z, 21, out=z)
+    index += np.multiply(np.signbit(x, out=scratch[0].view(np.bool_)[:n]), 84, out=ints[1])
+    first, temp = np.take(work.groups, ints[3:5], out=ints[:2], mode="clip")
+    first |= np.left_shift(temp, 32, out=temp)
+    second, length = np.take(work.groups, ints[5:7], out=ints[1:3], mode="clip")
+    second |= np.left_shift(length, 32, out=ints[3])
+    length >>= 32
+    head, bits = np.take(work.heads, index, axis=1, out=ints[3:5], mode="clip")
+    length += np.right_shift(bits, 3, out=ints[5])
+    s0, s1, s2 = work.slots[:n].T
+    np.bitwise_or(head, np.left_shift(first, bits, out=s0), out=s0)
+    np.left_shift(second, bits, out=s1)
+    s1 |= np.right_shift(first, np.subtract(64, bits, out=bits), out=first)
+    np.right_shift(second, bits, out=s2)
+    s0[::6] ^= ord(" ") ^ ord("\n")
+    slow = np.flatnonzero(np.less(length, 17, out=scratch[3].view(np.bool_)[:n]))
+    tokens = [b"%c%.17g" % (32 if k % 6 else 10, v)
+              for k, v in zip(slow.tolist(), x[slow].tolist())]
+    length[slow] = [len(token) for token in tokens]
+    starts = np.cumsum(length, out=ints[5])
+    total = int(starts[-1])
+    starts -= length
+    work.windows[starts] = work.slots[:n].view("V24").ravel()
+    for start, token in zip(starts[slow].tolist(), tokens):
+        work.text[start:start + len(token)] = token
+    work.text[total] = ord("\n")  # the separator before the first token is dropped
+    return work.text[1:total + 1]
 
 
-def _significant_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The zeros z after "0." and D = round-half-even(a 10**(17 + z)), the 17
-    significant digits as an int64, of each a in [1e-4, 1), exactly.
-
-    The decade comparisons are exact, as each of 0.1, 0.01, 0.001 and 1e-4 as a
-    double lies just above its power of ten.  Dekker's two-product (Numer. Math. 18,
-    1971) gives a 10**(17 + z) = p + e exactly, with p an even integer >= 2**53, so
-    p + np.rint(e) rounds a tie to even.
-    """
-    z = np.add(a < 0.1, a < 0.01, dtype=np.intp)
-    z += a < 0.001
-    scale = _SCALES[z]
-    p = a * scale
-    a_hi, a_lo = _split(a)
-    s_hi, s_lo = _split(scale)
-    e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
-    return z, p.astype(np.int64) + np.rint(e).astype(np.int64)
-
-
-def _format_rows(rows: np.ndarray) -> bytes:
-    """The bytes of ``"%.17g %.17g %.17g %.17g %.17g %.17g\\n" % row`` for each row
-    of a (k, 6) float array, formatted in whole-array operations.
-
-    A value x with |x| in [1e-4, 1) is written as its sign, "0.", z zeros and the 17
-    digits of _significant_digits without trailing zeros, in seven words with NUL
-    for the bytes it does not use; the NULs are removed at the end.  Other values
-    (0, +-1, the exponent form, non-finite) take "%.17g" itself, at most 24 bytes.
-    """
-    x = rows.ravel()
-    a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1.0)
-    a[~fast] = 0.5
-    z, digits = _significant_digits(a)
-    fast &= (digits >= 10 ** 16) & (digits < 10 ** 17)
-    # 1 + 16 digits: lead, then the groups g1 g2 (of hi) and g3 g4 (of lo).
-    hi = digits // 10 ** 8
-    lo = (digits - hi * 10 ** 8).astype(np.int32)
-    lead = hi // 10 ** 8
-    hi = (hi - lead * 10 ** 8).astype(np.int32)
-    g1 = hi // 10 ** 4
-    g2 = hi - g1 * 10 ** 4
-    g3 = lo // 10 ** 4
-    g4 = lo - g3 * 10 ** 4
-    words = np.empty((x.size, 7), dtype=np.uint32)
-    words[:, :2] = _HEAD_WORDS[lead + 10 * z + 40 * (x < 0)]
-    # A group followed by zero groups only takes its stripped form.
-    groups = _group_words()
-    lo_zero = lo == 0
-    words[:, 2] = groups[g1 + 10000 * (lo_zero & (g2 == 0))]
-    words[:, 3] = groups[g2 + 10000 * lo_zero]
-    words[:, 4] = groups[g3 + 10000 * (g4 == 0)]
-    words[:, 5] = groups[g4 + 10000]
-    words.reshape(-1, 6, 7)[:, :, 6] = _SEPARATOR_WORDS
-    text = words.view(np.uint8)
-    slow = np.flatnonzero(~fast)
-    text[slow, :24] = np.array([b"%.17g" % v for v in x[slow].tolist()],
-                               dtype="S24").view(np.uint8).reshape(-1, 24)
-    return text.tobytes().translate(None, b"\0")
-
-
-# Body bytes read and parsed at a time: the reader's scratch stays small next to the
-# (n_events, 6) array it fills.
+# Body bytes read and parsed at a time: the reader's scratch stays small next to its rows.
 _READ_BYTES = 32 << 10
-# Bytes before the body text in the read buffer, so the 24 bytes that end a token
-# lie inside the buffer even for the first token.
+# Bytes before the body in the read buffer, so the 24 bytes that end any token lie in it.
 _PAD = 24
 # A body line: six tokens of bytes above 32, separated by single spaces.
 _BODY_LINE = re.compile(rb"[^\x00-\x20]+(?: [^\x00-\x20]+){5}")
@@ -210,7 +210,7 @@ def _parse_tokens(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     candidate = r / _POWER5[n]
     candidate += q
     candidate *= _POWER2[n]
-    z, d = _significant_digits(candidate)
+    z, d = _significant_digits(candidate, np.empty((7, candidate.size)))
     ok &= candidate >= 1e-4  # so d holds 17 digits
     ok &= ~(d - m * _DIGIT_SCALES[z * 24 + n]).astype(bool)
     np.multiply(candidate, _SIGNS[sign], out=out)

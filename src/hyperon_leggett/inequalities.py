@@ -138,12 +138,19 @@ def leggett_sum_lhs(settings: TripleSettings, e_pairs: EPairs,
                 "phi": settings.phi})
 
 
-def leggett_sum_value(pair_sums, alpha_b: float, phi):
+def leggett_sum_value(pair_sums, alpha_b: float, phi, half_angle=np.sin):
     """(|S_1| + |S_2| + |S_3|)/3 + (2|alpha_b|/3)|sin(phi/2)| over pair sums
-    S_i = E(a_i,b_i) + E(a_i,b_i') of shape (..., 3), phi broadcasting against (...)."""
+    S_i = E(a_i,b_i) + E(a_i,b_i') of shape (..., 3), phi broadcasting against (...);
+    leggett_diff_value takes cos for ``half_angle``."""
     s = np.abs(pair_sums)
     return _float_or_array(((s[..., 0] + s[..., 1]) + s[..., 2]) / 3.0 + (
-        (2.0 * abs(alpha_b) / 3.0) * np.abs(np.sin(0.5 * np.asarray(phi)))))
+        (2.0 * abs(alpha_b) / 3.0) * np.abs(half_angle(0.5 * np.asarray(phi)))))
+
+
+def leggett_diff_value(pair_diffs, alpha_b: float, phi):
+    """(|D_1| + |D_2| + |D_3|)/3 + (2|alpha_b|/3)|cos(phi/2)| over pair differences
+    D_i = E(a_i,b_i) - E(a_i,b_i') of shape (..., 3), phi broadcasting against (...)."""
+    return leggett_sum_value(pair_diffs, alpha_b, phi, np.cos)
 
 
 def leggett_diff_lhs(settings: TripleSettings, e_pairs: EPairs,
@@ -161,8 +168,7 @@ def leggett_diff_lhs(settings: TripleSettings, e_pairs: EPairs,
     if violations:
         raise ValueError("invalid flipped settings: " + "; ".join(violations))
     pairs = _check_e_pairs(e_pairs)
-    lhs = (sum(abs(e - ep) for e, ep in pairs) / 3.0
-           + (2.0 * abs(alpha_b) / 3.0) * abs(math.cos(0.5 * settings.phi)))
+    lhs = leggett_diff_value([e - ep for e, ep in pairs], alpha_b, settings.phi)
     return InequalityReport(
         name="leggett_diff", lhs=lhs, bound=2.0,
         settings_used=f"flipped triple settings, phi={settings.phi!r} rad",

@@ -32,7 +32,6 @@ and x = vec(n_A n_B^T), so the count, mean and centred sum of squares of x
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
@@ -44,7 +43,7 @@ import numpy as np
 
 from .catalog import ProductionChannel, channel_spin_state
 from .correlations import a_side_inversion, spin_correlation_diagonal
-from .eventtext import _format_rows, _read_rows
+from .eventtext import _Workspace, _format_rows, _read_rows
 from .geometry import TripleSettings
 from .inequalities import leggett_sum_value
 from .quantum import PAULI, expectation, row_dot, tensor
@@ -331,31 +330,16 @@ def _events_header(provenance: Mapping[str, Any], n_events: int) -> bytes:
     return "".join(f"# {line}\n" for line in lines).encode("utf-8")
 
 
-@functools.cache
-def _raise_heap_thresholds() -> None:
-    """Free one untouched 8 MB buffer, once per process.
-
-    glibc's malloc serves a request below its mmap threshold from the heap and
-    trims the heap top once more than its trim threshold lies free there.  Both
-    thresholds start at 128 KiB and rise for good, up to 32 MiB, to the size of a
-    freed mmapped chunk and twice that.  _format_rows frees some MB per block, so
-    unless a larger chunk has been freed before, the heap is trimmed and faulted
-    back in on every block (with glibc 2.36 a 4 MB buffer avoids that and a 2 MB one
-    does not).  Under other allocators this is one allocation and nothing more.
-    """
-    np.empty(8 << 20, dtype=np.uint8)
-
-
 def _written(fh: BinaryIO, provenance: Mapping[str, Any], n_events: int,
              blocks: Iterable[Block]) -> Iterator[Block]:
     """Write the events file of ``blocks`` to ``fh``, checking each block as
     EventSample checks its rows, and pass each block on once it is written."""
     fh.write(_events_header(provenance, n_events))
-    _raise_heap_thresholds()
+    rows, work = np.empty((_BLOCK_ROWS, 6)), _Workspace(_BLOCK_ROWS)
     for n_a, n_b in blocks:
         _check_unit_rows("n_a", n_a)
         _check_unit_rows("n_b", n_b)
-        fh.write(_format_rows(np.hstack([n_a, n_b])))
+        fh.write(_format_rows(np.concatenate((n_a, n_b), axis=1, out=rows[:len(n_a)]), work))
         yield n_a, n_b
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from hyperon_leggett import DecayMode, Direction, MeasurementParams, mean_polarization
 from hyperon_leggett.povm import _check_outcome
+from hyperon_leggett.eventtext import _Workspace, _format_rows
 from hyperon_leggett.simulation import _flip_about_axes, _generator, _unit_from_uniforms
 
 
@@ -48,6 +49,11 @@ def setting_directions(settings) -> list[tuple[Direction, Direction, Direction]]
     """(a_i, b_i, b_i') for each row i of the settings arrays, as Directions."""
     return [tuple(Direction(*rows[i]) for rows in (settings.a, settings.b, settings.b_prime))
             for i in range(3)]
+
+
+def format_rows(rows: np.ndarray) -> bytes:
+    """The text _format_rows writes for the rows of a (k, 6) array, in a workspace of its own."""
+    return bytes(_format_rows(rows, _Workspace(len(rows))))
 
 
 def percent_rows(rows: np.ndarray) -> bytes:

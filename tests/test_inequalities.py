@@ -11,7 +11,7 @@ from hyperon_leggett import (OUTCOMES, MeasurementParams, build_settings, ch_pov
                              leggett_violation_condition, optimal_phi,
                              symmetric_alpha_threshold)
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
-from hyperon_leggett.inequalities import InequalityReport
+from hyperon_leggett.inequalities import InequalityReport, leggett_diff_value
 
 from conftest import (ch_optimal_settings, local_model_correlation,
                       local_model_joint_probability, random_direction, random_params,
@@ -190,6 +190,22 @@ class TestLeggettDiff:
             sum_report = leggett_sum_lhs(settings, _singlet_e_pairs(settings, pa, pb), 0.98)
             diff_report = leggett_diff_lhs(flipped, _singlet_e_pairs(flipped, pa, pb), 0.98)
             assert abs(sum_report.lhs - diff_report.lhs) < 1e-12
+
+    def test_array_kernel_keeps_the_scalar_bits(self, rng):
+        # leggett_diff_lhs evaluates through leggett_diff_value: the bits of the Python
+        # sum it replaced, and one call over stacked differences equals per-row calls.
+        alpha_b, lhs, rows = 0.98, [], []
+        for _ in range(50):
+            flipped = flip_b_prime(build_settings(float(rng.uniform(0.05, math.pi - 0.05))))
+            pairs = rng.uniform(-1.0, 1.0, (3, 2)).tolist()
+            old = (sum(abs(e - ep) for e, ep in pairs) / 3.0
+                   + (2.0 * abs(alpha_b) / 3.0) * abs(math.cos(0.5 * flipped.phi)))
+            lhs.append(leggett_diff_lhs(flipped, pairs, alpha_b).lhs)
+            assert lhs[-1] == old
+            rows.append(([e - ep for e, ep in pairs], flipped.phi))
+        diffs, phis = (np.array(column) for column in zip(*rows))
+        stacked = leggett_diff_value(diffs, alpha_b, phis)
+        assert np.array_equal(stacked.view(np.uint64), np.array(lhs).view(np.uint64))
 
     def test_antipodal_pair_is_trivial(self):
         # flipped phi = pi means the cosine term vanishes

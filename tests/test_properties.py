@@ -27,10 +27,10 @@ from hyperon_leggett.geometry import (DEFAULT_AXES, DEFAULT_FRAME, flip_b_prime,
                                       settings_arrays, settings_from_text, settings_to_text)
 from hyperon_leggett.inequalities import leggett_sum_value
 from hyperon_leggett.quantum import singlet_state, triplet_m0_state
-from hyperon_leggett.eventtext import _READ_BYTES, _format_rows, _read_rows, _token_digits
+from hyperon_leggett.eventtext import _READ_BYTES, _read_rows, _token_digits
 from hyperon_leggett.simulation import _BLOCK_ROWS, _PROVENANCE_FIELDS
 
-from conftest import (percent_rows, random_rotation, rotated, serialize_catalog,
+from conftest import (format_rows, percent_rows, random_rotation, rotated, serialize_catalog,
                       setting_directions)
 
 phis = st.floats(min_value=0.0, max_value=math.pi, exclude_min=True)
@@ -210,10 +210,10 @@ def test_events_text_round_trip_is_exact(mother, name_a, alpha_a, name_b, alpha_
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 6), min_size=1, max_size=20))
+@given(st.lists(st.tuples(*[st.floats(-1.0, 1.0) | st.floats()] * 6), min_size=1, max_size=20))
 def test_event_text_matches_percent_format(rows):
     rows = np.array(rows, dtype=float)
-    assert _format_rows(rows) == percent_rows(rows)
+    assert format_rows(rows) == percent_rows(rows)
 
 
 # Bytes that bound a digit run without being digits: "/" (0x2F) and ":" (0x3A) sit

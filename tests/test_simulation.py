@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import io
 import math
 import re
 import tracemalloc
@@ -16,13 +18,13 @@ from hyperon_leggett import (DecayMode, ProductionChannel,
 from hyperon_leggett.catalog import channel_correlation
 from hyperon_leggett.quantum import Direction
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
-from hyperon_leggett.eventtext import _format_rows
+from hyperon_leggett.eventtext import _Workspace, _format_rows
 from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _generator, event_moments,
                                         leggett_lhs_from_moments, pair_blocks,
-                                        spin_correlation_matrix)
+                                        spin_correlation_matrix, write_pair_events)
 
-from conftest import (_random_unit, _sample_about_axes, percent_rows, random_direction,
-                      random_rotation, rotated, sample_single_decays)
+from conftest import (_random_unit, _sample_about_axes, format_rows, percent_rows,
+                      random_direction, random_rotation, rotated, sample_single_decays)
 
 
 def _channel(alpha_a=0.98, alpha_b=0.98, mother="eta_c"):
@@ -366,11 +368,11 @@ class TestEventText:
     def assert_matches(values):
         values = np.asarray(values, dtype=float)
         rows = np.resize(values, (-(-values.size // 6), 6))
-        assert _format_rows(rows) == percent_rows(rows)
+        assert format_rows(rows) == percent_rows(rows)
 
     def test_zeros_and_units(self):
         rows = np.array([[0.0, -0.0, 1.0, -1.0, 0.5, -0.25]])
-        assert _format_rows(rows) == b"0 -0 1 -1 0.5 -0.25\n"
+        assert format_rows(rows) == b"0 -0 1 -1 0.5 -0.25\n"
         self.assert_matches(rows)
 
     @pytest.mark.parametrize("power", [1e-4, 1e-3, 1e-2, 1e-1])
@@ -383,13 +385,47 @@ class TestEventText:
     def test_exponent_form_below_1e_4(self):
         below = np.nextafter(1e-4, 0.0)
         rows = np.array([[below, -below, 1e-5, 1e-200, 5e-324, 0.5]])
-        assert _format_rows(rows).split()[:2] == [b"9.9999999999999991e-05",
+        assert format_rows(rows).split()[:2] == [b"9.9999999999999991e-05",
                                                   b"-9.9999999999999991e-05"]
         self.assert_matches(rows)
 
+    def test_longest_tokens_in_every_column(self):
+        # "%.17g" writes at most 24 bytes, one more than a 24-byte slot holds after
+        # its separator; each token here takes all 24, in each column of some row.
+        longest = [-2.2250738585072014e-308, -4.9406564584124654e-324,
+                   -9.9999999999999998e-201, -1.2345678901234567e-100]
+        rows = np.array([np.roll(longest + [0.5, -0.012345678901234567], k) for k in range(6)])
+        text = format_rows(rows)
+        assert sorted(map(len, text.split()))[-24:] == [24] * 24
+        assert text.split(b"\n")[2] == (b"0.5 -0.012345678901234567 -2.2250738585072014e-308 "
+                                        b"-4.9406564584124654e-324 -9.9999999999999998e-201 "
+                                        b"-1.2345678901234567e-100")
+        self.assert_matches(rows)
+        self.assert_matches(np.full((2, 6), longest[0]))
+
+    def test_last_four_digits_zero(self):
+        # 17 digits that end in 0000 take "%.17g" itself, beside tokens of the kernel.
+        rows = np.array([[0.5003662109375, -0.5, 2.0 ** -13, 0.1, -0.00123291015625, 0.375]])
+        assert format_rows(rows) == (b"0.5003662109375 -0.5 0.0001220703125 "
+                                     b"0.10000000000000001 -0.00123291015625 0.375\n")
+        self.assert_matches(rows)
+
+    def test_one_block_peaks_within_twice_its_text(self):
+        # Every array of a block's size lives in the workspace, allocated before.
+        rows = np.hstack(next(pair_blocks(SIGMA_LIKE, _BLOCK_ROWS, seed=59)))
+        work = _Workspace(_BLOCK_ROWS)
+        tracemalloc.start()
+        try:
+            text = _format_rows(rows, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bytes(text) == percent_rows(rows)
+        assert peak <= 2 * len(text)
+
     def test_exact_ties_round_half_even(self):
         # 0.5 + 2**-18 = 0.500003814697265625 has 18 significant digits.
-        assert _format_rows(np.full((1, 6), 0.5 + 2.0 ** -18)).split()[0] == \
+        assert format_rows(np.full((1, 6), 0.5 + 2.0 ** -18)).split()[0] == \
             b"0.50000381469726562"
         # Odd n / 2**m has m decimals: 18 significant digits ending in 5, in each decade.
         for m, low in ((18, 0.1), (19, 0.01), (20, 1e-3), (21, 1e-4)):
@@ -472,6 +508,23 @@ class TestEventFile:
         assert path.read_bytes() == reference.read_bytes()
         assert b"\n0 0 1 -0 0 -1\n" in path.read_bytes()
 
+    @pytest.mark.parametrize("mother, text_sha256, moments_sha256", [
+        ("eta_c", "790802ad7f53fdebf358a17b79fbc6b33d14275b112033abcb5b3427bd656109",
+         "82c3ec17ca22c9e78a4be7399717922685b7b6076cbd1644bcfc83619e333915"),
+        ("chi_c0", "0080560e6e41f87915436b461a848cc3d103e20a1599de5846956f73659009fd",
+         "cd87b52dfc76a81b5e68f7be4f425f6f2305c7ef9d6ff76b07e175a37c6cd47d")],
+        ids=["eta_c", "chi_c0"])
+    def test_written_stream_is_pinned(self, mother, text_sha256, moments_sha256):
+        # The bytes write_pair_events writes and the repr of the moments it returns,
+        # for two full blocks and a short one, pinned so that no change to the writer
+        # can move them unseen.
+        fh = io.BytesIO()
+        count, mean, scatter = write_pair_events(fh, _channel(-0.98, 0.98, mother),
+                                                 2 * _BLOCK_ROWS + 3, 17, "abc123")
+        moments = repr((count, mean.tolist(), scatter.tolist()))
+        assert hashlib.sha256(fh.getvalue()).hexdigest() == text_sha256
+        assert hashlib.sha256(moments.encode()).hexdigest() == moments_sha256
+
     def test_save_memory_does_not_grow_with_events(self, tmp_path):
         peaks = []
         for blocks in (2, 16):
@@ -482,7 +535,7 @@ class TestEventFile:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # 16 blocks of text are 8 MB; one block's text and scratch are about 4 MB.
+        # 16 blocks of text are 8 MB; one block's workspace is about 3 MB.
         assert peaks[1] <= 1.1 * peaks[0]
 
     def test_unknown_format_rejected(self, tmp_path):
