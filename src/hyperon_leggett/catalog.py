@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .correlations import pair_correlation, pair_density_matrix
+from .correlations import pair_correlation
 from .povm import MeasurementParams
-from .quantum import TwoQubitState
 
 CATALOG_ENV_VAR = "HYPERON_LEGGETT_CATALOG"
 
@@ -133,10 +132,6 @@ def make_pair_channel(modes: list[DecayMode], hyperon: str,
         raise ValueError(f"mode {hyperon!r} has no CP-conjugate link in the catalog")
     mode_b = find_mode(modes, mode_a.cp_conjugate)
     return ProductionChannel(mother=mother, mode_a=mode_a, mode_b=mode_b)
-
-
-def channel_spin_state(channel: ProductionChannel) -> TwoQubitState:
-    return pair_density_matrix(channel.spin_state)
 
 
 def channel_correlation(channel: ProductionChannel, a, b):

@@ -28,16 +28,17 @@ from . import __version__
 from .catalog import (CATALOG_ENV_VAR, MOTHERS, DecayMode, ProductionChannel,
                       catalog_sha256, default_catalog_path, load_catalog,
                       make_pair_channel)
-from .correlations import (correlation_singlet, correlation_triplet_m0,
+from .correlations import (PAIR_STATES, correlation_singlet, correlation_triplet_m0,
                            correlation_via_operators, joint_prob_matrix,
-                           joint_prob_singlet, pair_correlation)
+                           joint_prob_singlet, pair_correlation, pair_density_matrix,
+                           spin_correlation_diagonal)
 from .geometry import build_settings, load_settings, settings_arrays
 from .inequalities import (leggett_max_lhs, leggett_sum_curve, leggett_sum_lhs,
                            leggett_sum_value, optimal_phi, symmetric_alpha_threshold)
 from .povm import MeasurementParams
-from .quantum import row_dot, singlet_state, triplet_m0_state
-from .simulation import (_BLOCK_ROWS, GENERATOR, check_seed, event_moments,
-                         leggett_lhs_from_moments, pair_blocks, spin_correlation_matrix,
+from .quantum import PAULI, expectation, row_dot, singlet_state, tensor, triplet_m0_state
+from .simulation import (_BLOCK_ROWS, GENERATOR, check_seed, correlation_estimates,
+                         event_moments, leggett_lhs_from_moments, pair_blocks,
                          write_pair_events)
 
 TOOL = "hyperon-leggett"
@@ -321,18 +322,26 @@ def _run_checks(seed: int, trials: int, negative_control: bool) -> list[tuple[st
     for name in blocks[0]:
         record(name, max(block[name] for block in blocks), 1e-12)
 
-    # Sampler moments against the spin-correlation matrix.
+    # The pair-state table against <sigma_i (x) sigma_j> of each density matrix.
+    pauli = np.array(PAULI)
+    sigma_pairs = tensor(pauli[:, None], pauli[None, :])
+    record("pair-state table vs density-matrix spin correlations",
+           max(float(np.max(np.abs(expectation(pair_density_matrix(state), sigma_pairs)
+                                   - np.diag(spin_correlation_diagonal(state)))))
+               for state in PAIR_STATES), 1e-12)
+
+    # Sampler moments against the table: 9 <n_A,i n_B,j> for every (i, j).
     n_events = 200_000
     worst_sigma = 0.0
+    unit_a, unit_b = np.repeat(np.eye(3), 3, axis=0), np.tile(np.eye(3), (3, 1))
     for mother in MOTHERS:
         mode = DecayMode("checkY", "check", 0.9, 0.0, None)
         channel = ProductionChannel(mother, mode, mode)
-        c_matrix = spin_correlation_matrix(channel)
-        count, mean, scatter = event_moments(pair_blocks(channel, n_events, seed))
-        mean = 9.0 * mean.reshape(3, 3)
-        se = 9.0 * np.sqrt(np.diag(scatter) / ((count - 1) * count)).reshape(3, 3)
-        target = 0.9 * 0.9 * c_matrix
-        worst_sigma = max(worst_sigma, float(np.max(np.abs(mean - target) / se)))
+        means, cov = correlation_estimates(event_moments(pair_blocks(channel, n_events, seed)),
+                                           unit_a, unit_b)
+        target = 0.9 * 0.9 * np.diag(spin_correlation_diagonal(channel.spin_state)).ravel()
+        worst_sigma = max(worst_sigma,
+                          float(np.max(np.abs(means - target) / np.sqrt(np.diag(cov)))))
     results.append(("sampler moment matrix vs spin-correlation matrix",
                     worst_sigma <= 5.0, f"max deviation {worst_sigma:.2f} sigma (tol 5)"))
 

@@ -13,8 +13,8 @@ reversed otherwise, so n has density [p(n) + 1 - p(-n)] / (4 pi), which is
 with C the 3x3 spin-correlation matrix of the pair state (diagonal; its
 diagonal per state is tabulated in correlations.PAIR_STATES).  n_A is drawn
 uniformly (its marginal is isotropic) and n_B by the same flip about the axis
-C^T n_A with alpha_a alpha_b in place of alpha.  C is recomputed from the
-density matrix and checked before any event is drawn.
+C^T n_A with alpha_a alpha_b in place of alpha.  `check` holds the table against
+the density matrices.
 
 Generation uses numpy's counter-based Philox stream ("philox4x64") keyed by a
 64-bit seed; a fixed seed reproduces samples bit for bit.  Pair events are drawn
@@ -27,7 +27,7 @@ The sphere average of (n.a)(n.u) equals (a.u)/3; that moment identity applies
 once per side, so ``9 <(n_A.a)(n_B.b)>`` is an unbiased estimator of the
 channel correlation at raw directions (a, b).  It is w.x with w = 9 vec(a b^T)
 and x = vec(n_A n_B^T), so the count, mean and centred sum of squares of x
-(event_moments) determine every estimate and its error, for any settings.
+(event_moments) determine every estimate and its error (correlation_estimates).
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ from typing import Any, BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .catalog import ProductionChannel, channel_spin_state
+from .catalog import DecayMode, ProductionChannel
 from .correlations import a_side_inversion, spin_correlation_diagonal
 from .eventtext import _Workspace, _format_rows, _read_rows
 from .geometry import TripleSettings
 from .inequalities import leggett_sum_value
-from .quantum import PAULI, expectation, row_dot, tensor
+from .quantum import row_dot
 
 GENERATOR = "philox4x64"
 
@@ -56,6 +56,8 @@ _BLOCK_ROWS = 4096
 # Provenance fields of an events file, in header order; each is an EventSample field.
 _PROVENANCE_FIELDS = ("generator", "seed", "mother", "hyperon_a", "hyperon_b",
                       "alpha_a", "alpha_b", "spin_state", "catalog_sha256")
+_HEADER_FIELDS = (*_PROVENANCE_FIELDS, "n_events", "columns")
+_COLUMNS = "nax nay naz nbx nby nbz"
 _BOOTSTRAP_REPLICAS = 200
 
 # Count, mean and centred sum of squares of x = vec(n_A n_B^T); see event_moments.
@@ -81,23 +83,6 @@ def _generator(seed: int, offset: int = 0) -> np.random.Generator:
     rng = np.random.Generator(bit_generator)
     rng.random(offset % 4)
     return rng
-
-
-def spin_correlation_matrix(channel: ProductionChannel) -> np.ndarray:
-    """3x3 matrix <sigma_i (x) sigma_j> of the channel's pair state.
-
-    Computed from the density matrix and checked against the tabulated
-    diagonal, whose exact entries are returned so the sampler sees clean ones.
-    """
-    state = channel_spin_state(channel)
-    pauli = np.array(PAULI)
-    computed = expectation(state, tensor(pauli[:, None], pauli[None, :]))
-    expected = np.diag(spin_correlation_diagonal(channel.spin_state))
-    residual = float(np.max(np.abs(computed - expected)))
-    if residual > 1e-12:
-        raise ArithmeticError(
-            f"spin-correlation matrix residual {residual:.3e} for {channel.spin_state}")
-    return expected
 
 
 def _unit_from_uniforms(u_cos: np.ndarray, u_psi: np.ndarray) -> np.ndarray:
@@ -135,9 +120,18 @@ class EventSample:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", check_seed(self.seed))
-        object.__setattr__(self, "alpha_a", float(self.alpha_a))
-        object.__setattr__(self, "alpha_b", float(self.alpha_b))
+        # The channel types' rules: each alpha in [-1, 1], a known mother.
+        modes = (DecayMode(self.hyperon_a, "-", self.alpha_a, 0.0),
+                 DecayMode(self.hyperon_b, "-", self.alpha_b, 0.0))
+        channel = ProductionChannel(self.mother, *modes)
+        object.__setattr__(self, "alpha_a", channel.mode_a.alpha)
+        object.__setattr__(self, "alpha_b", channel.mode_b.alpha)
         spin_correlation_diagonal(self.spin_state)  # refuses an unknown pair state
+        if self.spin_state != channel.spin_state:
+            raise ValueError(f"spin_state {self.spin_state!r} does not match mother "
+                             f"{self.mother!r}, whose pair state is {channel.spin_state!r}")
+        if self.generator != GENERATOR:
+            raise ValueError(f"generator {self.generator!r} is not {GENERATOR!r}")
         for name in ("n_a", "n_b"):
             # A read-only view: float input (a loaded file's rows) is not copied.
             arr = np.asarray(getattr(self, name), dtype=float).view()
@@ -191,8 +185,8 @@ def pair_blocks(channel: ProductionChannel, n_events: int, seed: int) -> Iterato
     """
     if n_events < 1:
         raise ValueError("n_events must be at least 1")
-    # C is +-diagonal (checked here), so n_a C needs no matrix product.
-    c_diag = np.diag(spin_correlation_matrix(channel))
+    # C is diagonal, so n_a C needs no matrix product.
+    c_diag = spin_correlation_diagonal(channel.spin_state)
     alpha_ab = channel.mode_a.alpha * channel.mode_b.alpha
     streams = [_generator(seed, kind * n_events) for kind in range(5)]
     return (_pair_block(streams, min(_BLOCK_ROWS, n_events - start), c_diag, alpha_ab)
@@ -224,12 +218,16 @@ def event_moments(blocks: Iterable[Block]) -> Moments:
     EventSample's, each centred on its own mean and merged in order (Chan, Golub &
     LeVeque, "Algorithms for computing the sample variance", 1983): raw second
     moments never cancel."""
-    count, mean, scatter = 0, np.zeros(9), np.zeros((9, 9))
+    count, mean, scatter, work = 0, np.zeros(9), np.zeros((9, 9)), np.empty(0)
     for n_a, n_b in blocks:
         n_a, n_b = n_a.T, n_b.T
+        rows = n_a.shape[1]
+        # One buffer for every block's x: a new 295 KB one per block may be mmapped anew.
+        if work.size < 9 * rows:
+            work = np.empty(9 * rows)
         # One row of x per component, so the reductions run over contiguous rows.
-        x = np.multiply(n_a[:, None, :], n_b[None, :, :], order="C").reshape(9, -1)
-        rows = x.shape[1]
+        x = np.multiply(n_a[:, None, :], n_b[None, :, :],
+                        out=work[:9 * rows].reshape(3, 3, rows)).reshape(9, rows)
         block_mean = x.mean(axis=1)
         x -= block_mean[:, None]
         delta = block_mean - mean
@@ -251,17 +249,24 @@ class EstimatedCorrelation:
             raise ValueError("std_error must be >= 0")
 
 
+def correlation_estimates(moments: Moments, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Means w_k.mean(x) of 9 <(n_A.a_k)(n_B.b_k)>, w_k = 9 vec(a_k b_k^T), over the rows
+    of (k, 3) arrays a, b, and their covariance W S W^T / ((n-1) n), from the
+    event_moments (count n, scatter S) of a sample of at least 100 events."""
+    count, mean, scatter = moments
+    if count < 100:
+        raise ValueError(f"sample too small: {count} events, need at least 100")
+    weights = 9.0 * (a[:, :, None] * b[:, None, :]).reshape(len(a), 9)
+    return weights @ mean, weights @ scatter @ weights.T / ((count - 1) * count)
+
+
 def estimate_correlation(sample: EventSample, a, b) -> EstimatedCorrelation:
     """Moment estimator 9 <(n_A.a)(n_B.b)> = w.mean(x), unbiased for the channel
     correlation at raw directions (a, b), each a Direction or a (3,) array; standard
     error from the event spread."""
-    if sample.n_events < 100:
-        raise ValueError(f"sample too small: {sample.n_events} events, need at least 100")
-    count, mean, scatter = event_moments(sample)
-    w = 9.0 * np.outer(a, b).ravel()
-    return EstimatedCorrelation(e_hat=float(w @ mean),
-                                std_error=math.sqrt(w @ scatter @ w / ((count - 1) * count)),
-                                n_used=count)
+    means, cov = correlation_estimates(event_moments(sample), np.array([a]), np.array([b]))
+    return EstimatedCorrelation(e_hat=float(means[0]), std_error=math.sqrt(cov[0, 0]),
+                                n_used=sample.n_events)
 
 
 @dataclass(frozen=True)
@@ -276,16 +281,13 @@ class LeggettEstimate:
 def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings) -> LeggettEstimate:
     """Sum-form left-hand side estimated from events, with its standard error.
 
-    Pair sum i is 9 (n_A.F a_i)(n_B.(b_i + b'_i)) = W_i.x, W_i = 9 vec((F a_i)(b_i + b'_i)^T),
-    F from correlations.a_side_inversion (the z flip for triplet samples), so the
-    means are W mean(x) and their covariance W S W^T / ((n-1) n), S the scatter of
-    event_moments.  Errors propagate by the delta method through the absolute
-    values; when any pair sum sits within two standard errors of zero (where the
-    delta method degenerates) a seeded parametric bootstrap draws 200 replicas of
-    the means from the normal law with that covariance instead.
+    Pair sum i is 9 <(n_A.F a_i)(n_B.(b_i + b'_i))>, F from correlations.a_side_inversion
+    (the z flip for triplet samples); correlation_estimates at the rows F a_i and
+    b_i + b'_i gives their means and covariance.  Errors propagate by the delta method
+    through the absolute values; when any pair sum sits within two standard errors of
+    zero (where the delta method degenerates) a seeded parametric bootstrap draws 200
+    replicas of the means from the normal law with that covariance instead.
     """
-    if sample.n_events < 100:
-        raise ValueError(f"sample too small: {sample.n_events} events, need at least 100")
     return leggett_lhs_from_moments(event_moments(sample), settings, sample.seed,
                                     sample.alpha_b, sample.spin_state)
 
@@ -296,11 +298,8 @@ def leggett_lhs_from_moments(moments: Moments, settings: TripleSettings, seed: i
     and spin_state; ``settings`` with any ``violations`` are refused."""
     if settings.violations:
         raise ValueError("invalid triple settings: " + "; ".join(settings.violations))
-    count, mean, scatter = moments
-    a = settings.a * a_side_inversion(spin_state)
-    weights = 9.0 * (a[:, :, None] * (settings.b + settings.b_prime)[:, None, :]).reshape(3, 9)
-    means = weights @ mean
-    cov = weights @ scatter @ weights.T / ((count - 1) * count)
+    means, cov = correlation_estimates(moments, settings.a * a_side_inversion(spin_state),
+                                       settings.b + settings.b_prime)
     se_means = np.sqrt(np.diag(cov))
 
     lhs_hat = leggett_sum_value(means, alpha_b, settings.phi)
@@ -325,8 +324,8 @@ def leggett_lhs_from_moments(moments: Moments, settings: TripleSettings, seed: i
 
 
 def _events_header(provenance: Mapping[str, Any], n_events: int) -> bytes:
-    lines = [_EVENTS_FORMAT, *(f"{key} {provenance[key]}" for key in _PROVENANCE_FIELDS),
-             f"n_events {n_events}", "columns nax nay naz nbx nby nbz"]
+    values = {**provenance, "n_events": n_events, "columns": _COLUMNS}
+    lines = [_EVENTS_FORMAT, *(f"{key} {values[key]}" for key in _HEADER_FIELDS)]
     return "".join(f"# {line}\n" for line in lines).encode("utf-8")
 
 
@@ -363,48 +362,44 @@ def write_pair_events(fh: BinaryIO, channel: ProductionChannel, n_events: int, s
 
 
 def load_events(path: str | Path) -> EventSample:
-    """The EventSample of an events file that save_events wrote.  The body is six
-    numbers per line, separated by single spaces, each line ended by "\\n"; any other
-    body is refused with the file and line named."""
+    """The EventSample of an events file that save_events wrote.  The header is the
+    lines _events_header writes, one "# key value" line per field of _HEADER_FIELDS
+    in that order; the body is six numbers per line, separated by single spaces, each
+    line ended by "\\n".  Anything else is refused with the file and line named."""
     p = Path(path)
-    meta: dict[str, str] = {}
+    fields: dict[str, Any] = {}
     with p.open("rb") as fh:
         first = fh.readline().decode("utf-8", errors="replace").strip()
         if first != f"# {_EVENTS_FORMAT}":
             raise ValueError(f"{p}: unrecognized events file (header {first!r})")
-        header_lines = 1
-        while True:
-            body_start = fh.tell()
-            line = fh.readline()
-            if not line.startswith(b"# "):
-                fh.seek(body_start)
-                break
-            header_lines += 1
+        for line_number, key in enumerate(_HEADER_FIELDS, start=2):
             try:
-                key, _, value = line[2:].decode("utf-8").strip().partition(" ")
+                line = fh.readline().decode("utf-8")
             except UnicodeDecodeError:
-                raise ValueError(f"{p}: line {header_lines}: header is not UTF-8 text") from None
-            meta[key] = value
-        missing = [key for key in (*_PROVENANCE_FIELDS, "n_events") if key not in meta]
-        if missing:
-            raise ValueError(f"{p}: missing header fields {missing}")
-        fields: dict[str, Any] = dict(meta)
+                raise ValueError(f"{p}: line {line_number}: header is not UTF-8 text") from None
+            prefix = f"# {key} "
+            if not (line.startswith(prefix) and line.endswith("\n")) or (
+                    key == "columns" and line != f"{prefix}{_COLUMNS}\n"):
+                raise ValueError(f"{p}: line {line_number}: expected the header field "
+                                 f"{key}, got {line!r}")
+            fields[key] = line[len(prefix):-1]
         for key, kind, noun in (("n_events", int, "an integer"), ("seed", int, "an integer"),
                                 ("alpha_a", float, "a number"), ("alpha_b", float, "a number")):
             try:
-                fields[key] = kind(meta[key])
+                fields[key] = kind(fields[key])
             except ValueError:
-                raise ValueError(f"{p}: header field {key} is not {noun}: {meta[key]!r}") from None
+                raise ValueError(f"{p}: header field {key} is not {noun}: "
+                                 f"{fields[key]!r}") from None
         check_seed(fields["seed"], f"{p}: header field seed")
         n_events = fields["n_events"]
         if n_events < 1:
-            raise ValueError(f"{p}: holds no events (n_events {meta['n_events']})")
+            raise ValueError(f"{p}: holds no events (n_events {n_events})")
         # A row takes at least 12 bytes ("0 0 0 0 0 0\n"): refuse a count the body
         # cannot hold before allocating for it.
-        body_bytes = os.fstat(fh.fileno()).st_size - body_start
+        body_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         if 12 * n_events > body_bytes:
             raise ValueError(f"{p}: expected {n_events} rows of 6 columns, got "
                              f"{body_bytes} bytes of rows")
-        data = _read_rows(fh, p, header_lines + 1, n_events)
+        data = _read_rows(fh, p, len(_HEADER_FIELDS) + 2, n_events)
     return EventSample(n_a=data[:, :3], n_b=data[:, 3:],
                        **{key: fields[key] for key in _PROVENANCE_FIELDS})

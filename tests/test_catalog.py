@@ -7,8 +7,9 @@ from hyperon_leggett import (DecayMode, ProductionChannel,
                              build_settings, channel_correlation,
                              default_catalog_path, leggett_sum_lhs, load_catalog,
                              make_pair_channel)
-from hyperon_leggett.catalog import (CATALOG_ENV_VAR, catalog_sha256,
-                                     channel_spin_state, find_mode, parse_catalog)
+from hyperon_leggett.catalog import (CATALOG_ENV_VAR, catalog_sha256, find_mode,
+                                     parse_catalog)
+from hyperon_leggett.correlations import pair_density_matrix
 from hyperon_leggett.quantum import Z_AXIS
 
 from conftest import random_direction, serialize_catalog, setting_directions
@@ -118,8 +119,8 @@ class TestChannels:
     def test_spin_state_matrices(self, modes):
         eta_c = make_pair_channel(modes, "SigmaPlus", "eta_c")
         chi_c0 = make_pair_channel(modes, "SigmaPlus", "chi_c0")
-        assert channel_spin_state(eta_c).purity() == pytest.approx(1.0, abs=1e-12)
-        assert channel_spin_state(chi_c0).purity() == pytest.approx(1.0, abs=1e-12)
+        assert pair_density_matrix(eta_c.spin_state).purity() == pytest.approx(1.0, abs=1e-12)
+        assert pair_density_matrix(chi_c0.spin_state).purity() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestChannelCorrelation:

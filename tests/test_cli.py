@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hyperon_leggett import geometry, sample_pair_decay, save_events
+from hyperon_leggett import (estimate_leggett_lhs, geometry, load_events, sample_pair_decay,
+                             save_events)
 from hyperon_leggett.catalog import (catalog_sha256, default_catalog_path, load_catalog,
                                      make_pair_channel)
 from hyperon_leggett.cli import _oracle_residuals, _run_checks, main
@@ -324,6 +325,23 @@ class TestSimulate:
         assert payload["lhs_hat"] == pytest.approx(2.0288708890524414, abs=0.05)
         assert (out_dir / "events.txt").exists()
         assert json.loads((out_dir / "summary.json").read_text(encoding="utf-8")) == payload
+
+    @pytest.mark.parametrize("extra, method", [([], "delta"), (["--alpha-b", "0"], "bootstrap"),
+                                               (["--mother", "chi_c0"], "delta")],
+                             ids=["delta", "bootstrap", "chi_c0"])
+    def test_reanalysis_reproduces_the_summary(self, capsys, tmp_path, extra, method):
+        # The streamed estimate and the one from the loaded file share one kernel.
+        out_dir = tmp_path / "run"
+        run(["simulate", "--channel", "SigmaPlus", *extra, "--events", "20000", "--seed", "3",
+             "--out", str(out_dir)], capsys)
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        estimate = estimate_leggett_lhs(load_events(out_dir / "events.txt"),
+                                        geometry.build_settings(summary["phi_rad"]))
+        assert summary["error_method"] == method
+        assert (estimate.lhs_hat, estimate.std_error, list(estimate.e_sums),
+                list(estimate.e_sum_errors), estimate.method) == (
+            summary["lhs_hat"], summary["std_error"], summary["e_sums"],
+            summary["e_sum_errors"], summary["error_method"])
 
     def test_no_violation_exit_code(self, capsys, tmp_path):
         code, out, _ = run(["simulate", "--channel", "Lambda", "--events", "5000",

@@ -16,12 +16,13 @@ from hyperon_leggett import (DecayMode, ProductionChannel,
                              sample_pair_decay, save_events,
                              symmetric_alpha_threshold)
 from hyperon_leggett.catalog import channel_correlation
-from hyperon_leggett.quantum import Direction
+from hyperon_leggett.correlations import pair_density_matrix, spin_correlation_diagonal
+from hyperon_leggett.quantum import PAULI, Direction, expectation, tensor
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
 from hyperon_leggett.eventtext import _Workspace, _format_rows
 from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _generator, event_moments,
                                         leggett_lhs_from_moments, pair_blocks,
-                                        spin_correlation_matrix, write_pair_events)
+                                        write_pair_events)
 
 from conftest import (_random_unit, _sample_about_axes, format_rows, percent_rows,
                       random_direction, random_rotation, rotated, sample_single_decays)
@@ -37,18 +38,33 @@ def _channel(alpha_a=0.98, alpha_b=0.98, mother="eta_c"):
 SIGMA_LIKE = _channel(-0.98, 0.98)
 
 
+def spin_correlation_matrix(channel):
+    return np.diag(spin_correlation_diagonal(channel.spin_state))
+
+
 def linear_cosine_cdf(alpha):
     """CDF of the cosine density (1 + alpha c)/2 on [-1, 1]."""
     return lambda c: (c + 1.0) / 2.0 + alpha * (c * c - 1.0) / 4.0
 
 
 class TestSpinCorrelationMatrix:
+    """The pair-state table the sampler reads, against <sigma_i (x) sigma_j> of the
+    density matrix (the identity `check` runs)."""
+
+    @staticmethod
+    def from_density_matrix(spin_state):
+        pauli = np.array(PAULI)
+        return expectation(pair_density_matrix(spin_state),
+                           tensor(pauli[:, None], pauli[None, :]))
+
     def test_singlet(self):
         assert np.array_equal(spin_correlation_matrix(_channel()), -np.eye(3))
+        assert np.max(np.abs(self.from_density_matrix("singlet") + np.eye(3))) <= 1e-12
 
     def test_triplet(self):
         c = spin_correlation_matrix(_channel(mother="chi_c0"))
         assert np.array_equal(c, np.diag([1.0, 1.0, -1.0]))
+        assert np.max(np.abs(self.from_density_matrix("triplet_m0") - c)) <= 1e-12
 
 
 class TestSingleDecay:
@@ -188,6 +204,18 @@ class TestEventMoments:
         assert np.max(np.abs(scatter - reference_scatter)) <= 1e-12 * scale
         assert np.max(np.abs(mean - products.mean(axis=0))) <= 1e-12 * np.max(np.abs(mean))
 
+    def test_later_blocks_longer_than_the_first(self):
+        # The products buffer grows past its first size and past _BLOCK_ROWS.
+        n = 2 * _BLOCK_ROWS + 3
+        sample = sample_pair_decay(SIGMA_LIKE, n, seed=61)
+        cuts = [0, 3, 10, n]
+        count, mean, scatter = event_moments(
+            (sample.n_a[i:j], sample.n_b[i:j]) for i, j in zip(cuts, cuts[1:]))
+        reference = event_moments(sample)
+        assert count == n
+        assert np.max(np.abs(mean - reference[1])) <= 1e-12 * np.max(np.abs(mean))
+        assert np.max(np.abs(scatter - reference[2])) <= 1e-12 * np.max(np.abs(scatter))
+
 
 class TestEstimateCorrelation:
     def test_small_sample_rejected(self):
@@ -312,6 +340,12 @@ class TestEstimateLeggett:
         with pytest.raises(ValueError, match="invalid triple settings"):
             leggett_lhs_from_moments(event_moments(sample), tampered, sample.seed,
                                      sample.alpha_b, sample.spin_state)
+
+    def test_moments_of_too_few_events_rejected(self):
+        moments = event_moments(pair_blocks(SIGMA_LIKE, 1, seed=46))
+        with pytest.raises(ValueError) as exc:
+            leggett_lhs_from_moments(moments, build_settings(1.0), 46, 0.98, "singlet")
+        assert str(exc.value) == "sample too small: 1 events, need at least 100"
 
 
 class TestCalibration:
@@ -562,6 +596,47 @@ class TestEventFile:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="seed"):
             load_events(path)
+
+    # Header lines 7 to 9 are alpha_a, alpha_b and spin_state; line 12 is columns.
+    @pytest.mark.parametrize("edit, line, field", [
+        (lambda lines: lines[:8] + [b"# alpha_b 0.5"] + lines[8:], 9, "spin_state"),
+        (lambda lines: lines[:10] + [b"# events_note none"] + lines[10:], 11, "n_events"),
+        (lambda lines: lines[:6] + [lines[7], lines[6]] + lines[8:], 7, "alpha_a"),
+        (lambda lines: lines[:11] + [b"# columns nbx nby nbz nax nay naz"] + lines[12:], 12,
+         "columns"),
+    ], ids=["duplicated", "unknown", "reordered", "other columns"])
+    def test_header_lines_other_than_those_written_rejected(self, tmp_path, edit, line, field):
+        path = tmp_path / "events.txt"
+        save_events(path, sample_pair_decay(SIGMA_LIKE, 200, seed=66))
+        lines = edit(path.read_bytes().split(b"\n"))
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as exc:
+            load_events(path)
+        got = lines[line - 1].decode() + "\n"
+        assert str(exc.value) == (f"{path}: line {line}: expected the header field {field}, "
+                                  f"got {got!r}")
+
+    @pytest.mark.parametrize("written, edited, message", [
+        ("alpha_b 0.98", "alpha_b nan", "B: |alpha| must not exceed 1, got nan"),
+        ("alpha_b 0.98", "alpha_b 7.5", "B: |alpha| must not exceed 1, got 7.5"),
+        ("mother eta_c", "mother psi_2S", "unknown mother particle 'psi_2S'; "
+                                          "expected one of ('eta_c', 'chi_c0')"),
+        ("spin_state singlet", "spin_state triplet_m0",
+         "spin_state 'triplet_m0' does not match mother 'eta_c', whose pair state is "
+         "'singlet'"),
+        ("generator philox4x64", "generator mt19937",
+         "generator 'mt19937' is not 'philox4x64'"),
+    ], ids=["alpha_b nan", "alpha_b out of range", "unknown mother",
+            "spin_state of another mother", "generator"])
+    def test_provenance_the_channel_types_refuse_rejected(self, tmp_path, written, edited,
+                                                          message):
+        path = tmp_path / "events.txt"
+        save_events(path, sample_pair_decay(SIGMA_LIKE, 200, seed=67))
+        path.write_bytes(path.read_bytes().replace(f"# {written}\n".encode(),
+                                                   f"# {edited}\n".encode(), 1))
+        with pytest.raises(ValueError) as exc:
+            load_events(path)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("field, value, noun", [("n_events", "2e2", "an integer"),
                                                     ("seed", "x1", "an integer"),
