@@ -32,6 +32,7 @@ from .correlations import (PAIR_STATES, correlation_singlet, correlation_triplet
                            correlation_via_operators, joint_prob_matrix,
                            joint_prob_singlet, pair_correlation, pair_density_matrix,
                            spin_correlation_diagonal)
+from .csvtext import Texts, format_block
 from .geometry import build_settings, load_settings, settings_arrays
 from .inequalities import (leggett_max_lhs, leggett_sum_curve, leggett_sum_lhs,
                            leggett_sum_value, optimal_phi, symmetric_alpha_threshold)
@@ -118,29 +119,25 @@ def _emit_json(payload: Mapping[str, Any], out: str | None) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-_FLAG_TEXT = np.array(["0", "1"], dtype=object)
-
-
 def _emit_csv(out: str | None, metadata: Mapping[str, Any], header: Sequence[str],
-              row_format: str, blocks: Iterator[tuple[np.ndarray, ...]]) -> None:
-    """Write a scan as CSV from blocks of equal-length columns, one ``%`` of
-    ``row_format`` repeated per row for each block, so the whole text is never held.
-    Constants are written into ``row_format``.  Float columns go through ``%r``, the
-    shortest exact round trip; object columns hold strings shared by the rows that
-    repeat a value, so it is formatted once; bool columns print as the shared 0/1.
-    The first block is drawn before the output is opened, so a scan refused while
-    computing writes nothing."""
+              blocks: Iterator[Sequence[Any]]) -> None:
+    """Write a scan as CSV, one csvtext.format_block per block of rows, so the whole text
+    is never held.  The bytes go to stdout's binary buffer (after its pending text), or,
+    for a text stream without one, as text.  The first block is drawn before the output
+    is opened, so a scan refused while computing writes nothing."""
     first = next(blocks)
-    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
-        for key, value in metadata.items():
-            fh.write(f"# {key} {value}\n")
-        fh.write(",".join(header) + "\n")
+    head = "".join(f"# {key} {value}\n" for key, value in metadata.items())
+    with open(out, "wb") if out else nullcontext(sys.stdout) as fh:
+        if out:
+            write = fh.write
+        else:
+            fh.flush()
+            write = (fh.buffer.write if hasattr(fh, "buffer")
+                     else lambda data: fh.write(str(data, "utf-8")))
+        write(f"{head}{','.join(header)}\n".encode("utf-8"))
         for block in itertools.chain([first], blocks):
-            cells: list[Any] = [None] * (len(block) * len(block[0]))
-            for k, col in enumerate(block):
-                cells[k::len(block)] = (_FLAG_TEXT[col.view(np.uint8)] if col.dtype == bool
-                                        else col).tolist()
-            fh.write(row_format * len(block[0]) % tuple(cells))
+            for text in format_block(block):
+                write(text)
 
 
 def cmd_predict(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -182,11 +179,11 @@ def cmd_scan_phi(args: argparse.Namespace, argv: Sequence[str]) -> int:
             e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa,
                                             resolved.pb, *settings_arrays(block))
             lhs = leggett_sum_value(e + e_prime, resolved.pb.alpha, block)
-            yield np.degrees(block), block, lhs, lhs - 2.0, lhs > 2.0
+            yield np.degrees(block), block, lhs, bound, lhs - 2.0, lhs > 2.0
 
+    bound = (Texts([b"%r," % 2.0]), 0)
     _emit_csv(args.out, _metadata(argv, resolved.provenance()),
-              ("phi_deg", "phi_rad", "lhs", "bound", "margin", "violated"),
-              f"%r,%r,%r,{2.0!r},%r,%s\n", blocks())
+              ("phi_deg", "phi_rad", "lhs", "bound", "margin", "violated"), blocks())
     return 0
 
 
@@ -198,7 +195,7 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
     grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     if np.any(grid[1:] <= grid[:-1]):  # rows sorted by (alpha_a, alpha_b) need distinct values
         raise ValueError("--alpha-min and --alpha-max are too close for --steps distinct values")
-    grid_text = np.array([repr(v) for v in grid.tolist()], dtype=object)
+    grid_text = Texts([b"%r," % v for v in grid.tolist()])
 
     def blocks() -> Iterator[tuple[np.ndarray, ...]]:
         # Row k is the cell (alpha_a, alpha_b) = grid[divmod(k, steps)]: alpha_a slow.
@@ -206,13 +203,13 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
         for start in range(0, rows, _BLOCK_ROWS):
             i, j = np.divmod(np.arange(start, min(start + _BLOCK_ROWS, rows)), args.steps)
             lhs = leggett_max_lhs(grid[i], grid[j])
-            yield grid_text[i], grid_text[j], lhs, lhs > 2.0
+            yield (grid_text, i), (grid_text, j), lhs, lhs > 2.0
 
     _emit_csv(args.out, _metadata(argv, {
         "bound": 2.0,
         "boundary": "(alpha_a^2 + 1/9) * alpha_b^2 = 1",
         "symmetric_alpha_threshold": symmetric_alpha_threshold(),
-    }), ("alpha_a", "alpha_b", "lhs", "violated"), "%s,%s,%r,%s\n", blocks())
+    }), ("alpha_a", "alpha_b", "lhs", "violated"), blocks())
     return 0
 
 

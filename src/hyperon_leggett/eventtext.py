@@ -53,7 +53,6 @@ class _Workspace:
     def __init__(self, rows: int) -> None:
         self.scratch, self.slots = np.empty(48 * rows), np.empty((6 * rows, 3), dtype=np.int64)
         self.text = np.empty(150 * rows + 24, dtype=np.uint8).data  # tokens take <= 25 bytes
-        self.windows = np.ndarray((150 * rows + 1,), "V24", self.text, strides=(1,))
         # At 84 sign + 21 z + d, a token's head (" ", sign, "0.", z zeros, its leading digit
         # d) and 8 times its length, the shift of the digits after it; 0 unless 0 < d < 10.
         self.heads = np.array([[int.from_bytes(h, "little"), 8 * len(h)] if 0 < d < 10 else [0, 0]
@@ -104,14 +103,24 @@ def _format_rows(rows: np.ndarray, work: _Workspace) -> memoryview:
     tokens = [b"%c%.17g" % (32 if k % 6 else 10, v)
               for k, v in zip(slow.tolist(), x[slow].tolist())]
     length[slow] = [len(token) for token in tokens]
-    starts = np.cumsum(length, out=ints[5])
-    total = int(starts[-1])
-    starts -= length
-    work.windows[starts] = work.slots[:n].view("V24").ravel()
-    for start, token in zip(starts[slow].tolist(), tokens):
-        work.text[start:start + len(token)] = token
+    total = _store_slots(work.text, work.slots[:n].view("V24").ravel(), length, slow, tokens,
+                         ints[5])
     work.text[total] = ord("\n")  # the separator before the first token is dropped
     return work.text[1:total + 1]
+
+
+def _store_slots(text: memoryview, slots: np.ndarray, lengths: np.ndarray, slow: np.ndarray,
+                 tokens: list[bytes], starts: np.ndarray | None = None) -> int:
+    """Store the 24-byte ``slots`` in ``text`` (the total length and 23 bytes more) at
+    offsets from ``lengths``, in index order, each over the previous one past that one's
+    length, then the ``tokens`` of the indices ``slow``; return the total length."""
+    starts = np.cumsum(lengths, out=starts)
+    total = int(starts[-1])
+    starts -= lengths
+    np.ndarray((total + 1,), "V24", text, strides=(1,))[starts] = slots
+    for start, token in zip(starts[slow].tolist(), tokens):
+        text[start:start + len(token)] = token
+    return total
 
 
 # Body bytes read and parsed at a time: the reader's scratch stays small next to its rows.

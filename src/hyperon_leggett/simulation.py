@@ -324,7 +324,13 @@ def leggett_lhs_from_moments(moments: Moments, settings: TripleSettings, seed: i
 
 
 def _events_header(provenance: Mapping[str, Any], n_events: int) -> bytes:
+    """The header lines; values that load_events could not read back are refused."""
     values = {**provenance, "n_events": n_events, "columns": _COLUMNS}
+    for key in _PROVENANCE_FIELDS:
+        text = str(values[key])
+        if text != text.strip() or "\n" in text:
+            raise ValueError(f"header field {key} {text!r} has surrounding whitespace or a "
+                             f"line break, which an events file cannot hold")
     lines = [_EVENTS_FORMAT, *(f"{key} {values[key]}" for key in _HEADER_FIELDS)]
     return "".join(f"# {line}\n" for line in lines).encode("utf-8")
 
@@ -364,14 +370,16 @@ def write_pair_events(fh: BinaryIO, channel: ProductionChannel, n_events: int, s
 def load_events(path: str | Path) -> EventSample:
     """The EventSample of an events file that save_events wrote.  The header is the
     lines _events_header writes, one "# key value" line per field of _HEADER_FIELDS
-    in that order; the body is six numbers per line, separated by single spaces, each
-    line ended by "\\n".  Anything else is refused with the file and line named."""
+    in that order, each exactly as written for the values read from it; the body is six
+    numbers per line, separated by single spaces, each line ended by "\\n".  Anything
+    else, and provenance that EventSample refuses, is refused with the file named, and
+    the line where there is one."""
     p = Path(path)
     fields: dict[str, Any] = {}
     with p.open("rb") as fh:
-        first = fh.readline().decode("utf-8", errors="replace").strip()
-        if first != f"# {_EVENTS_FORMAT}":
-            raise ValueError(f"{p}: unrecognized events file (header {first!r})")
+        lines = [fh.readline().decode("utf-8", errors="replace")]
+        if lines[0].strip() != f"# {_EVENTS_FORMAT}":
+            raise ValueError(f"{p}: unrecognized events file (header {lines[0].strip()!r})")
         for line_number, key in enumerate(_HEADER_FIELDS, start=2):
             try:
                 line = fh.readline().decode("utf-8")
@@ -382,7 +390,8 @@ def load_events(path: str | Path) -> EventSample:
                     key == "columns" and line != f"{prefix}{_COLUMNS}\n"):
                 raise ValueError(f"{p}: line {line_number}: expected the header field "
                                  f"{key}, got {line!r}")
-            fields[key] = line[len(prefix):-1]
+            lines.append(line)
+            fields[key] = line[len(prefix):-1].strip()
         for key, kind, noun in (("n_events", int, "an integer"), ("seed", int, "an integer"),
                                 ("alpha_a", float, "a number"), ("alpha_b", float, "a number")):
             try:
@@ -390,6 +399,12 @@ def load_events(path: str | Path) -> EventSample:
             except ValueError:
                 raise ValueError(f"{p}: header field {key} is not {noun}: "
                                  f"{fields[key]!r}") from None
+        written = _events_header(fields, fields["n_events"]).decode("utf-8")
+        for line_number, (line, expected) in enumerate(
+                zip(lines, written.splitlines(keepends=True)), start=1):
+            if line != expected:
+                raise ValueError(f"{p}: line {line_number}: expected {expected!r} as "
+                                 f"written for its value, got {line!r}")
         check_seed(fields["seed"], f"{p}: header field seed")
         n_events = fields["n_events"]
         if n_events < 1:
@@ -401,5 +416,8 @@ def load_events(path: str | Path) -> EventSample:
             raise ValueError(f"{p}: expected {n_events} rows of 6 columns, got "
                              f"{body_bytes} bytes of rows")
         data = _read_rows(fh, p, len(_HEADER_FIELDS) + 2, n_events)
-    return EventSample(n_a=data[:, :3], n_b=data[:, 3:],
-                       **{key: fields[key] for key in _PROVENANCE_FIELDS})
+    try:
+        return EventSample(n_a=data[:, :3], n_b=data[:, 3:],
+                           **{key: fields[key] for key in _PROVENANCE_FIELDS})
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from None

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import sys
@@ -312,6 +315,63 @@ class TestScanRegion:
         rows = data_rows(out)
         assert rows == region_rows(np.linspace(-0.0, 1.0, 65))
         assert rows[-1].startswith("1.0,1.0,")
+
+
+# sha256 of scan CSVs as the per-cell %r writer printed them, with the command echoed
+# without --out and the packaged catalog's path (it names the checkout) as CATALOG.
+SCAN_DIGESTS = [
+    (["scan-phi", "--channel", "SigmaPlus", "--steps", "20000"],
+     "fb20d933ae7a5a4bd2e177f2f3f951e19c647915b87206b75ea5c66b358e4797"),
+    (["scan-phi", "--channel", "SigmaPlus", "--steps", "100000"],
+     "6c9431437ec0196effd1b5bb6918cff5560066c08bd49b25ba3a04318823525e"),
+    (["scan-phi", "--channel", "Lambda", "--mother", "chi_c0", "--steps", "5001"],
+     "47ed67775aa400bd92662989f7f8e0af0a633ed1960137beac8236041f1b6283"),
+    (["scan-phi", "--channel", "Lambda", "--eta-a", "0.1", "--eta-b", "-0.2", "--steps", "4097"],
+     "bf365d95798c89a09777e3b6ca8a15ca8b42d6b20d7b954033f84fb41a1c3e3b"),
+    (["scan-region", "--steps", "101"],
+     "8409e0547dd28b56ef9771aa380ce1acaf842570b14e74718a33b93202b4de8c"),
+    (["scan-region", "--steps", "301"],
+     "0e326fa7a0fcc65dc2c9cff476b19821a79de7e2f72fddb4438d774b07eb0588"),
+    (["scan-region", "--steps", "1001"],
+     "7536274a607981cdaad23e0923a2d696c80cac6b31b7fc3f2bf20d2ddda3bf22"),
+    (["scan-region", "--steps", "65", "--alpha-min", "-0.0"],
+     "76f2c5d8baf200826737c7ed714f41583a92fb7fc8366ce18f0b7acca0de7d9c"),
+]
+
+
+def scan_file_bytes(args, path):
+    """The CSV a scan writes to ``path``, echoing its command without --out."""
+    assert main([*args, "--out", str(path)]) == 0
+    return path.read_bytes().replace(f" --out {path}".encode(), b"")
+
+
+class TestScanBytes:
+    @pytest.mark.parametrize("args, digest", SCAN_DIGESTS,
+                             ids=[" ".join(args) for args, _ in SCAN_DIGESTS])
+    def test_bytes_are_those_of_the_percent_writer(self, tmp_path, args, digest):
+        text = scan_file_bytes(args, tmp_path / "scan.csv")
+        text = text.replace(str(default_catalog_path()).encode(), b"CATALOG")
+        assert hashlib.sha256(text).hexdigest() == digest
+
+    @pytest.mark.parametrize("args", [
+        ["scan-phi", "--channel", "SigmaPlus", "--steps", "4097"],
+        ["scan-region", "--steps", "65", "--alpha-min", "-0.0"],
+        ["scan-region", "--alpha-min", "1e-300", "--alpha-max", "1e-299", "--steps", "5"]])
+    def test_out_file_stdout_and_text_stream_get_the_same_bytes(self, tmp_path, capsys, args):
+        # stdout takes the bytes on its binary buffer; io.StringIO, which has none, as text.
+        text = scan_file_bytes(args, tmp_path / "scan.csv")
+        assert main(args) == 0
+        assert capsys.readouterr().out.encode() == text
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(args) == 0
+        assert out.getvalue().encode() == text
+
+    def test_text_written_to_stdout_before_the_scan_comes_first(self, capsys):
+        print("before")
+        assert main(["scan-region", "--steps", "2"]) == 0
+        print("after")
+        out = capsys.readouterr().out
+        assert out.startswith("before\n# tool ") and out.endswith(",1\nafter\n")
 
 
 class TestSimulate:

@@ -1,8 +1,8 @@
 """Property tests: the array path that the scans use against the scalar path, the
 closed forms against the 4x4 matrix path, the invariances of the settings layout,
 exact text round trips of the catalog and of event files, the event-text digit
-reader against int(), the scan CSV against per-row ``%r`` formatting, and the row
-order and verdicts of both scans."""
+reader against int(), the scan CSV against per-row ``%r`` formatting and its float
+kernel against repr, and the row order and verdicts of both scans."""
 
 import contextlib
 import dataclasses
@@ -20,6 +20,7 @@ from hyperon_leggett import (DecayMode, Direction, MeasurementParams, Production
                              sample_pair_decay, save_events)
 from hyperon_leggett.catalog import MOTHERS, channel_correlation, parse_catalog
 from hyperon_leggett.cli import _emit_csv, main
+from hyperon_leggett.csvtext import Texts, format_block
 from hyperon_leggett.correlations import (correlation_singlet, correlation_triplet_m0,
                                           correlation_via_operators, joint_prob_matrix,
                                           joint_prob_singlet, pair_correlation)
@@ -328,14 +329,65 @@ def test_scan_csv_matches_percent_format(pool, n_rows, seed):
     codes = rng.integers(len(values), size=n_rows)
     flags = rng.random(n_rows) < 0.5
     index = np.arange(n_rows, dtype=float)
-    picked = np.array([repr(v) for v in values.tolist()], dtype=object)[codes]
-    blocks = (tuple(col[start:start + _BLOCK_ROWS] for col in (index, x, picked, y, flags))
+    picked = Texts([b"%r," % v for v in values.tolist()])
+    blocks = (tuple(col[start:start + _BLOCK_ROWS] for col in (index, x)) + (
+                  (picked, codes[start:start + _BLOCK_ROWS]),
+                  *(col[start:start + _BLOCK_ROWS] for col in (y, flags)))
               for start in range(0, n_rows, _BLOCK_ROWS))
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        _emit_csv(None, {}, ("row", "x", "picked", "y", "flag"), "%r,%r,%s,%r,%s\n", blocks)
+        _emit_csv(None, {}, ("row", "x", "picked", "y", "flag"), blocks)
     expected = ["row,x,picked,y,flag\n", *("%r,%r,%r,%r,%d\n" % row for row in zip(
         index.tolist(), x.tolist(), values[codes].tolist(), y.tolist(), flags.tolist()))]
     assert out.getvalue().splitlines(keepends=True) == expected
+
+
+def float_text(values) -> list[str]:
+    """The cells format_block writes for a column of floats."""
+    return b"".join(format_block([np.array(values, dtype=float)])).decode().splitlines()
+
+
+def nudged(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+# The decades the scans print, [1e-4, 1e3), where the kernel works; each drawn from its
+# own decade so that every one is covered.
+decade_floats = st.integers(-4, 2).flatmap(
+    lambda e: st.floats(10.0 ** e, 10.0 ** (e + 1), exclude_max=True))
+# Powers of two (an asymmetric rounding interval) and of ten, and up to 2 ulps off them.
+near_powers = st.builds(nudged, st.sampled_from([2.0 ** k for k in range(-15, 11)]
+                                                + [10.0 ** e for e in range(-5, 4)]),
+                        st.integers(-2, 2))
+# m / 2**b has b decimal places, the last 5: with 17 or 18 significant digits, the nearest
+# 16 or 17-digit decimals tie.
+decimal_ties = st.integers(1, 20).flatmap(
+    lambda b: st.integers(1, 1000 * 2 ** b).map(lambda m: m / 2.0 ** b))
+# The doubles nearest decimals of d significant digits: repr has at most d of them.
+short_decimals = st.builds(lambda d, m, e: float(f"{m % 10 ** d}e{e}"),
+                           st.integers(13, 17), st.integers(10 ** 16, 10 ** 17 - 1),
+                           st.integers(-20, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(decade_floats | near_powers | decimal_ties | short_decimals
+                          | finite_cells, st.booleans()), min_size=1, max_size=40))
+def test_float_kernel_text_is_repr(cells):
+    values = [-v if negative else v for v, negative in cells]
+    assert float_text(values) == [repr(v) for v in values]
+
+
+def test_float_kernel_text_is_repr_over_each_decade_and_at_ties():
+    rng = np.random.default_rng(20261019)
+    # Exact 17-digit decimals ending in 5 where half an ulp exceeds 5 units of the 17th
+    # digit, so both 16-digit neighbours read back: repr takes the even one.
+    odd = 2 * np.arange(1000) + 1
+    ties = [low + odd / 2.0 ** b for low, b in ((512, 14), (64, 15), (8, 16), (0.5, 17))]
+    values = np.concatenate([rng.uniform(10.0 ** e, 10.0 ** (e + 1), 20000)
+                             for e in range(-4, 3)] + [10 ** rng.uniform(-4, 3, 20000), *ties])
+    values[::3] *= -1
+    assert float_text(values) == [repr(v) for v in values.tolist()]
 
 
 def scan_rows(args):

@@ -636,7 +636,52 @@ class TestEventFile:
                                                    f"# {edited}\n".encode(), 1))
         with pytest.raises(ValueError) as exc:
             load_events(path)
-        assert str(exc.value) == message
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_non_unit_rows_rejected_with_the_file_named(self, tmp_path):
+        path = tmp_path / "events.txt"
+        save_events(path, sample_pair_decay(SIGMA_LIKE, 200, seed=68))
+        lines = path.read_bytes().split(b"\n")
+        lines[12] = b"1 0 0 0 0 2"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as exc:
+            load_events(path)
+        assert str(exc.value) == (f"{path}: n_b holds non-unit directions "
+                                  f"(residual 3.000e+00)")
+
+    @pytest.mark.parametrize("name", ["A ", " A", "A\nB", "A\r"])
+    def test_provenance_that_would_not_read_back_is_not_written(self, tmp_path, name):
+        channel = ProductionChannel("eta_c", DecayMode(name, "x_y", 0.9, 0.0, None),
+                                    DecayMode("B", "x_y", -0.9, 0.0, None))
+        with pytest.raises(ValueError) as exc:
+            save_events(tmp_path / "events.txt", sample_pair_decay(channel, 200, seed=70))
+        assert str(exc.value) == (f"header field hyperon_a {name!r} has surrounding "
+                                  f"whitespace or a line break, which an events file cannot "
+                                  f"hold")
+
+    @pytest.mark.parametrize("written, edited, line, expected", [
+        ("hyperon_a A", "hyperon_a A\r", 5, "hyperon_a A"),
+        ("seed 69", "seed  69 ", 3, "seed 69"),
+        ("alpha_b 0.98", "alpha_b 0.50", 8, "alpha_b 0.5"),
+        ("alpha_a -0.98", "alpha_a -98e-2", 7, "alpha_a -0.98"),
+        ("n_events 200", "n_events +200", 11, "n_events 200"),
+        ("hyperon-leggett-events 1", "hyperon-leggett-events 1\r", 1,
+         "hyperon-leggett-events 1"),
+    ], ids=["carriage return", "doubled blanks", "trailing zero", "exponent", "plus sign",
+            "format line"])
+    def test_header_values_not_in_the_written_form_rejected(self, tmp_path, written, edited,
+                                                            line, expected):
+        # Each used to load: the header's values are read, but not in the form written.
+        path = tmp_path / "events.txt"
+        save_events(path, sample_pair_decay(SIGMA_LIKE, 200, seed=69))
+        written, edited, expected = (f"# {text}\n" for text in (written, edited, expected))
+        text = path.read_bytes()
+        assert text.count(written.encode()) == 1
+        path.write_bytes(text.replace(written.encode(), edited.encode()))
+        with pytest.raises(ValueError) as exc:
+            load_events(path)
+        assert str(exc.value) == (f"{path}: line {line}: expected {expected!r} as written for "
+                                  f"its value, got {edited!r}")
 
     @pytest.mark.parametrize("field, value, noun", [("n_events", "2e2", "an integer"),
                                                     ("seed", "x1", "an integer"),
