@@ -24,6 +24,14 @@ CATALOG_ENV_VAR = "HYPERON_LEGGETT_CATALOG"
 MOTHERS = {"eta_c": "singlet", "chi_c0": "triplet_m0"}
 
 
+def _check_one_line(what: str, value: str) -> None:
+    """Refuse ``value`` unless it is one non-empty line without surrounding whitespace,
+    the form in which a "# key value" line of an events header holds it."""
+    if value != value.strip() or value.splitlines() != [value]:
+        raise ValueError(f"{what} {value!r} is empty or has surrounding whitespace or a "
+                         f"line break, which an events file cannot hold")
+
+
 @dataclass(frozen=True)
 class DecayMode:
     """One two-body hadronic decay channel of a hyperon (or antihyperon)."""
@@ -35,6 +43,7 @@ class DecayMode:
     cp_conjugate: str | None = None
 
     def __post_init__(self) -> None:
+        _check_one_line("hyperon name", self.hyperon)
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "alpha_uncertainty", float(self.alpha_uncertainty))
         if not -1.0 <= self.alpha <= 1.0:

@@ -2,9 +2,10 @@
 
 A direction component x with |x| in [1e-4, 1) is written as its sign, "0.", the zeros after
 the point and the 17 significant digits of _significant_digits without trailing zeros, in a
-_Workspace allocated once per stream.  The reader parses that form in whole-array operations
-and proves each value by formatting it back through the same kernel.  Other values (0, +-1,
-the exponent form, non-finite) are written by "%.17g" itself and read by float().
+_Workspace allocated once per stream.  The reader reads the body _READ_BYTES at a time and
+parses that form in whole-array operations on one scratch array allocated per load, proving
+each value by formatting it back through the same kernel.  Other values (0, +-1, the
+exponent form, non-finite) are written by "%.17g" itself and read by float().
 """
 
 import re
@@ -123,10 +124,17 @@ def _store_slots(text: memoryview, slots: np.ndarray, lengths: np.ndarray, slow:
     return total
 
 
-# Body bytes read and parsed at a time: the reader's scratch stays small next to its rows.
-_READ_BYTES = 32 << 10
-# Bytes before the body in the read buffer, so the 24 bytes that end any token lie in it.
-_PAD = 24
+# Body bytes read at a time: each read costs about 80 NumPy operations whatever its size, and
+# the reader's scratch grows with it (see _read_rows).
+_READ_BYTES = 128 << 10
+# Tokens parsed at a time: a read of text as _format_rows writes it (about 20 bytes a
+# token) takes one round; shorter tokens take more rounds, not more scratch.
+_ROUND_TOKENS = _READ_BYTES // 16
+# Rows of scratch per token of a round: see _parse_tokens.
+_SCRATCH_ROWS = 17
+# Bytes before the body in the read buffer: 32, so the 32 bytes that end any token lie in
+# it, then a space, the separator before the first token.
+_PAD = 33
 # A body line: six tokens of bytes above 32, separated by single spaces.
 _BODY_LINE = re.compile(rb"[^\x00-\x20]+(?: [^\x00-\x20]+){5}")
 _LINE_SEPARATORS = np.frombuffer(b"     \n", dtype=np.uint8)
@@ -136,35 +144,37 @@ def _length_tables() -> tuple[np.ndarray, ...]:
     """Tables for _parse_tokens, indexed by n = min(token length after its sign, 23).
 
     A token of the kernel is "0." and L = n - 2 digits, 1 <= L <= 20, so it fills
-    the last n of the 24 bytes that end it: three little-endian words, a word's
-    last byte its most significant.  For each n, as three words: the masks that
-    keep those n bytes; the text XORed with them so that "0." and the digits read as
-    digit values; the limits added to them, which carry into a byte's top bit where
-    a digit exceeds 9, or where a byte that must be 0 is not ("0.", and the digits
-    before the last 17, so that the digits M < 10**17); then 5**L and 2**-L; and, at
-    24 z + n, 10**(17 + z - L) where that is a power up to 10**17, which turns the
-    digits of a token with z zeros after "0." into the 17 of _significant_digits
-    (else 0, which no 17 digits equal).  Other n keep nothing and set a top bit.
+    the last n of the 32 bytes that end it: four little-endian words, a word's last
+    byte its most significant (the first word is never kept: 32 bytes, not 24, as
+    NumPy's take copies 32-byte rows some three times as fast).  For each n, three
+    rows of four words, stacked as (3, 24, 4) so that one take gives each as a
+    contiguous (k, 4) array: the masks that keep those n bytes; the text XORed with
+    them so that "0." and the digits read as digit values; the limits added to them,
+    which carry into a byte's top bit where a digit exceeds 9, or where a byte that
+    must be 0 is not ("0.", and the digits before the last 17, so that the digits
+    M < 10**17).  Then 5**L and 2**-L; and, at 24 z + n, 10**(17 + z - L) where that
+    is a power up to 10**17, which turns the digits of a token with z zeros after "0."
+    into the 17 of _significant_digits (else 0, which no 17 digits equal).  Other n
+    keep nothing and set a top bit.
     """
     lengths = [n - 2 if 3 <= n <= 22 else 0 for n in range(24)]
-    zeros, masks, limits = [], [], []
+    masks, zeros, limits = [], [], []
     for n, L in enumerate(lengths):
-        kept = 24 - n if L else 24
-        zeros.append(bytes(kept) + b"0." + b"0" * L if L else bytes(24))
-        masks.append(bytes(kept) + b"\xff" * (24 - kept))
+        kept = 32 - n if L else 32
+        zeros.append(bytes(kept) + b"0." + b"0" * L if L else bytes(32))
+        masks.append(bytes(kept) + b"\xff" * (32 - kept))
         # Byte j from the end (j = 1 is the last) is a digit for j <= L.
         limit = bytes(0x76 if j <= min(L, 17) else 0x7F if j <= L + 2 else 0
-                      for j in range(24, 0, -1))
-        limits.append(limit if L else bytes(23) + b"\x80")
-    words = [np.frombuffer(b"".join(table), dtype="<u8").reshape(24, 3)
-             for table in (masks, zeros, limits)]
+                      for j in range(32, 0, -1))
+        limits.append(limit if L else bytes(31) + b"\x80")
     scales = [10 ** (17 + z - L) if L and 0 <= 17 + z - L <= 17 else 0
               for z in range(4) for L in lengths]
-    return (*words, np.array([5 ** L for L in lengths]),
-            np.array([2.0 ** -L for L in lengths]), np.array(scales))
+    return (np.frombuffer(b"".join(masks + zeros + limits), dtype="<u8").reshape(3, 24, 4),
+            np.array([5 ** L for L in lengths]), np.array([2.0 ** -L for L in lengths]),
+            np.array(scales))
 
 
-_MASKS, _ZEROS, _LIMITS, _POWER5, _POWER2, _DIGIT_SCALES = _length_tables()
+_WORDS_BY_LENGTH, _POWER5, _POWER2, _DIGIT_SCALES = _length_tables()
 _TOP_BITS = np.uint64(0x8080808080808080)
 # Eight digit bytes (first digit lowest) to their value in three multiply-shifts
 # (Lemire, "Fast parsing of 8-digit integers", 2018).
@@ -172,37 +182,49 @@ _SWAR_STEPS = tuple((np.uint64(factor), np.uint64(shift), np.uint64(mask))
                     for factor, shift, mask in ((2561, 8, 0x00FF00FF00FF00FF),
                                                 (6553601, 16, 0x0000FFFF0000FFFF),
                                                 (42949672960001, 32, 0xFFFFFFFFFFFFFFFF)))
-_WORD_VALUES = np.array([10 ** 16, 10 ** 8, 1], dtype=np.uint64)
-_SIGNS = np.array([1.0, -1.0])
+_EIGHT_DIGITS = np.uint64(10 ** 8)
 
 
-def _token_digits(buf: np.ndarray, ends: np.ndarray, n: np.ndarray,
+def _token_digits(windows: np.ndarray, ends: np.ndarray, n: np.ndarray, scratch: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """For each token of ``buf`` that ends before ``ends`` and has ``n`` bytes after
-    its sign: whether it is "0." and 1 to 20 digits, all 0 but the last 17, and its
-    digits M as an int64 (0 for the other tokens).  The 24 bytes that end each
-    token are read as three words through a stride-1 view of ``buf``."""
-    windows = np.ndarray((buf.size - 23,), dtype="V24", buffer=buf, strides=(1,))
-    w = windows[ends - 24].view("<u8").reshape(-1, 3)
-    w &= np.take(_MASKS, n, axis=0)
-    w ^= np.take(_ZEROS, n, axis=0)
-    flags = w + np.take(_LIMITS, n, axis=0)
+    """For each token that ends before ``ends`` and has ``n`` bytes after its sign:
+    whether it is other than "0." and 1 to 20 digits, all 0 but the last 17, and its
+    digits M as an int64 (0 for the other tokens), as views of the last two rows of
+    ``scratch``, a C-contiguous (14, ends.size) uint64 array it overwrites.
+    windows[e] is the 32 bytes that end before e, a stride-1 "V32" view of the text;
+    they are read as four words."""
+    k = ends.size
+    w = windows[ends].view("<u8").reshape(k, 4)
+    masks, zeros, flags = np.take(_WORDS_BY_LENGTH, n, axis=1,
+                                  out=scratch[:12].reshape(3, k, 4), mode="clip")
+    m, bad = scratch[12], scratch[13].view(np.bool_)[:k]
+    w &= masks
+    w ^= zeros
+    flags += w
     flags |= w
-    ok = ~((flags[:, 0] | flags[:, 1] | flags[:, 2]) & _TOP_BITS).astype(bool)
+    np.bitwise_or(flags[:, 1], flags[:, 2], out=m)
+    m |= flags[:, 3]
+    m &= _TOP_BITS
+    np.copyto(bad, m, casting="unsafe")
     for factor, shift, mask in _SWAR_STEPS:
         w *= factor
         w >>= shift
         w &= mask
-    m = (w @ _WORD_VALUES).view(np.int64)
-    m *= ok
-    return ok, m
+    np.multiply(w[:, 1], _EIGHT_DIGITS, out=m)
+    m += w[:, 2]
+    m *= _EIGHT_DIGITS
+    m += w[:, 3]
+    np.copyto(m, 0, where=bad)
+    return bad, m.view(np.int64)
 
 
-def _parse_tokens(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """Write to ``out`` the value of each token buf[starts:ends] of the form
-    _format_rows writes for |x| in [1e-4, 1), and return the indices of the other
-    tokens, which it leaves unwritten.
+def _parse_tokens(windows: np.ndarray, body: np.ndarray, separators: np.ndarray,
+                  out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Write to ``out`` the value of each token of ``body`` between consecutive
+    ``separators`` of the form _format_rows writes for |x| in [1e-4, 1), and return
+    the indices of the other tokens, whose values it leaves undefined.  ``windows``
+    is as for _token_digits, ``scratch`` a C-contiguous (_SCRATCH_ROWS, out.size)
+    uint64 array it overwrites.
 
     The candidate for the digits M of "-0.ddd" (L of them) is (q + r / 5**L) 2**-L,
     q, r = divmod(M, 5**L), within an ulp or so of M / 10**L.  It is kept only where
@@ -212,55 +234,78 @@ def _parse_tokens(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     NumPy integer comparison kernels run nowhere else in a re-analysis, and their
     code pages would add to its peak resident memory.
     """
-    sign = (buf[starts] == ord("-")).astype(np.intp)
-    n = np.minimum(ends - starts - sign, 23)
-    ok, m = _token_digits(buf, ends, n)
-    q, r = np.divmod(m, _POWER5[n])
-    candidate = r / _POWER5[n]
-    candidate += q
-    candidate *= _POWER2[n]
-    z, d = _significant_digits(candidate, np.empty((7, candidate.size)))
-    ok &= candidate >= 1e-4  # so d holds 17 digits
-    ok &= ~(d - m * _DIGIT_SCALES[z * 24 + n]).astype(bool)
-    np.multiply(candidate, _SIGNS[sign], out=out)
-    return np.flatnonzero(~ok)
+    # Scratch rows: 0 the starts, 1 n, 2 the sign and test flags, then _token_digits's (m
+    # and bad its last two); once it returns, rows 3 to 9 are reused.
+    k, ends = out.size, separators[1:]
+    ints, floats = scratch.view(np.int64), scratch.view(np.float64)
+    starts, n = np.add(separators[:-1], 1, out=ints[0]), ints[1]
+    sign, test = scratch[2].view(np.bool_)[:k], scratch[2].view(np.bool_)[k:2 * k]
+    np.equal(np.take(body, starts, out=sign.view(np.uint8), mode="clip"), ord("-"), out=sign)
+    np.subtract(ends, starts, out=n)
+    np.subtract(n, 1, out=n, where=sign)
+    np.minimum(n, 23, out=n)
+    bad, m = _token_digits(windows, ends, n, scratch[3:])
+    power5, q, r = ints[3], ints[4], ints[5]
+    np.divmod(m, np.take(_POWER5, n, out=power5, mode="clip"), out=(q, r))
+    np.divide(r, power5, out=out)
+    out += q
+    out *= np.take(_POWER2, n, out=floats[3], mode="clip")
+    z, d = _significant_digits(out, floats[3:10])
+    bad |= np.less(out, 1e-4, out=test)  # else d does not hold 17 digits
+    z *= 24
+    z += n
+    d -= np.multiply(np.take(_DIGIT_SCALES, z, out=ints[4], mode="clip"), m, out=ints[4])
+    np.copyto(test, d, casting="unsafe")
+    bad |= test
+    np.negative(out, out=out, where=sign)
+    return np.flatnonzero(bad)
 
 
 def _read_rows(fh: BinaryIO, path: Path, first_line: int, n_events: int) -> np.ndarray:
-    """The (n_events, 6) rows of an events body read from ``fh``, _READ_BYTES at a
-    time into one buffer, each read parsed through its last newline in whole-array
-    operations; tokens outside the form _parse_tokens takes go to float().  The body
-    is six tokens per line, separated by single spaces, each line ended by a
-    newline; ``first_line`` is the number of its first line in the file."""
+    """The (n_events, 6) rows of an events body read from ``fh``; ``first_line`` is
+    the number of its first line in the file.  The body is six tokens per line,
+    separated by single spaces, each line ended by a newline.
+
+    The body is read _READ_BYTES at a time into one buffer and parsed through the
+    last newline of each read, _ROUND_TOKENS tokens a round, in whole-array steps on
+    one workspace allocated here: every per-token array of a round is a view of it,
+    but for the separators' offsets (np.flatnonzero) and the 32 bytes that end each
+    token (a fancy index: np.take would copy the whole stride-1 window view first).
+    So a load holds its rows and about twelve times _READ_BYTES of scratch, whatever
+    the file's size.  Tokens outside the form _parse_tokens takes go to float()."""
     data = np.empty((n_events, 6))
     values = data.reshape(-1)
-    buf = np.empty(_PAD + _READ_BYTES + 1, dtype=np.uint8)
-    buf[:_PAD] = ord("0")  # not a separator
+    raw = bytearray(b"0" * (_PAD - 1) + b" " + bytes(_READ_BYTES + 1))
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    windows = np.ndarray((buf.size - 31,), dtype="V32", buffer=buf, strides=(1,))
+    body = buf[_PAD - 1:]  # body[0] is the space before the first token
+    scratch = np.empty(_SCRATCH_ROWS * _ROUND_TOKENS, dtype=np.uint64)
     rows = rest = 0
-    while size := rest + fh.readinto(memoryview(buf)[_PAD + rest:_PAD + _READ_BYTES]):
-        ends = np.flatnonzero(buf[:_PAD + size] <= 32)
-        kinds = buf[ends]
-        newlines = np.flatnonzero(kinds == ord("\n"))
-        if newlines.size == 0:
+    while size := rest + fh.readinto(memoryview(raw)[_PAD + rest:_PAD + _READ_BYTES]):
+        cut = raw.rfind(b"\n", _PAD, _PAD + size) - (_PAD - 1)  # in body
+        if cut < 0:
             raise ValueError(f"{path}: line {first_line + rows}: no newline "
                              f"after {size} bytes")
-        ends, kinds = ends[:newlines[-1] + 1], kinds[:newlines[-1] + 1]
-        cut = int(ends[-1]) + 1 - _PAD
-        if ends.size % 6 or not (kinds.reshape(-1, 6) == _LINE_SEPARATORS).all():
-            raise _malformed_line(path, buf[_PAD:_PAD + cut].tobytes(), first_line + rows)
-        lines = ends.size // 6
+        separators = np.flatnonzero(np.less_equal(body[:cut + 1], 32,
+                                                  out=scratch.view(np.bool_)[:cut + 1]))
+        tokens = separators.size - 1
+        kinds = np.take(body, separators[1:], out=scratch.view(np.uint8)[:tokens], mode="clip")
+        if tokens % 6 or not np.equal(kinds.reshape(-1, 6), _LINE_SEPARATORS, out=scratch.view(
+                np.bool_)[tokens:2 * tokens].reshape(-1, 6)).all():
+            raise _malformed_line(path, body[1:cut + 1].tobytes(), first_line + rows)
+        lines = tokens // 6
         if rows + lines > n_events:
             raise ValueError(f"{path}: expected {n_events} rows of 6 columns, got more")
-        starts = np.empty_like(ends)
-        starts[0] = _PAD
-        np.add(ends[:-1], 1, out=starts[1:])
-        out = values[6 * rows:6 * (rows + lines)]
-        for k in _parse_tokens(buf, starts, ends, out).tolist():
-            out[k] = _token_value(path, buf[starts[k]:ends[k]].tobytes(),
-                                  first_line + rows + k // 6)
+        for low in range(0, tokens, _ROUND_TOKENS):
+            out = values[6 * rows + low:6 * rows + min(low + _ROUND_TOKENS, tokens)]
+            bounds = separators[low:low + out.size + 1]
+            for k in _parse_tokens(windows, body, bounds, out, scratch[:_SCRATCH_ROWS * out.size]
+                                   .reshape(_SCRATCH_ROWS, -1)).tolist():
+                out[k] = _token_value(path, body[bounds[k] + 1:bounds[k + 1]].tobytes(),
+                                      first_line + rows + (low + k) // 6)
         rows += lines
         rest = size - cut
-        buf[_PAD:_PAD + rest] = buf[_PAD + cut:_PAD + size]
+        body[1:1 + rest] = body[1 + cut:1 + size]
     if rows != n_events:
         raise ValueError(f"{path}: expected {n_events} rows of 6 columns, got ({rows}, 6)")
     return data

@@ -41,7 +41,7 @@ from typing import Any, BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .catalog import DecayMode, ProductionChannel
+from .catalog import DecayMode, ProductionChannel, _check_one_line
 from .correlations import a_side_inversion, spin_correlation_diagonal
 from .eventtext import _Workspace, _format_rows, _read_rows
 from .geometry import TripleSettings
@@ -132,6 +132,7 @@ class EventSample:
                              f"{self.mother!r}, whose pair state is {channel.spin_state!r}")
         if self.generator != GENERATOR:
             raise ValueError(f"generator {self.generator!r} is not {GENERATOR!r}")
+        _check_one_line("catalog_sha256", self.catalog_sha256)
         for name in ("n_a", "n_b"):
             # A read-only view: float input (a loaded file's rows) is not copied.
             arr = np.asarray(getattr(self, name), dtype=float).view()
@@ -324,13 +325,10 @@ def leggett_lhs_from_moments(moments: Moments, settings: TripleSettings, seed: i
 
 
 def _events_header(provenance: Mapping[str, Any], n_events: int) -> bytes:
-    """The header lines; values that load_events could not read back are refused."""
+    """The header lines, as written for these values.  Each value a file takes is
+    refused where it is made if the header could not hold it: in DecayMode,
+    EventSample and write_pair_events."""
     values = {**provenance, "n_events": n_events, "columns": _COLUMNS}
-    for key in _PROVENANCE_FIELDS:
-        text = str(values[key])
-        if text != text.strip() or "\n" in text:
-            raise ValueError(f"header field {key} {text!r} has surrounding whitespace or a "
-                             f"line break, which an events file cannot hold")
     lines = [_EVENTS_FORMAT, *(f"{key} {values[key]}" for key in _HEADER_FIELDS)]
     return "".join(f"# {line}\n" for line in lines).encode("utf-8")
 
@@ -363,6 +361,7 @@ def write_pair_events(fh: BinaryIO, channel: ProductionChannel, n_events: int, s
     n_events, seed, catalog_sha256) and return their event_moments, in one pass:
     each block is drawn, checked, written and accumulated before the next, so
     nothing of size n_events is held."""
+    _check_one_line("catalog_sha256", catalog_sha256)
     provenance = _pair_provenance(channel, seed, catalog_sha256)
     return event_moments(_written(fh, provenance, n_events, pair_blocks(channel, n_events, seed)))
 

@@ -231,7 +231,7 @@ def test_token_digits_match_int(tokens):
     # The value check of load_events compares a candidate with these digits, so it
     # cannot see digits read wrongly; they are checked here against int().  Bytes
     # before the "0." are 9s, which the reader must not count.
-    text, ends, lengths, expected = bytearray(b"9" * 24), [], [], []
+    text, ends, lengths, expected = bytearray(b"9" * 32), [], [], []
     for digits, before, after, spoil in tokens:
         digits = digits.encode()
         if spoil and spoil[0] < len(digits):
@@ -243,9 +243,11 @@ def test_token_digits_match_int(tokens):
         # "0." and at most 20 digits, of which only the last 17 may be other than 0.
         expected.append(int(digits) if digits.isdigit() and len(digits) <= 20
                         and int(digits) < 10 ** 17 else None)
-    ok, m = _token_digits(np.frombuffer(bytes(text), dtype=np.uint8), np.array(ends),
-                          np.minimum(np.array(lengths), 23))
-    assert [int(v) if good else None for good, v in zip(ok, m)] == expected
+    buf = np.frombuffer(bytes(text), dtype=np.uint8)
+    windows = np.ndarray((buf.size - 31,), dtype="V32", buffer=buf, strides=(1,))
+    bad, m = _token_digits(windows, np.array(ends) - 32, np.minimum(np.array(lengths), 23),
+                           np.empty((14, len(ends)), dtype=np.uint64))
+    assert [None if wrong else int(v) for wrong, v in zip(bad, m)] == expected
 
 
 # Tokens of the form the reader parses itself, "0." and digits, with digits other
@@ -285,11 +287,12 @@ components = ((decade_values | rounding_ties).flatmap(lambda x: st.sampled_from(
 @given(st.lists(st.tuples(components, components), min_size=1, max_size=12),
        st.integers(0, 2**32 - 1))
 def test_events_text_reads_back_bit_for_bit(values, seed):
-    # More rows than one read of the body; the drawn values go into rows on both sides
-    # of where the first read ends, and one row straddles it.
+    # More rows than one read of the body (a row takes under 150 bytes); the drawn
+    # values go into rows on both sides of where the first read ends, and one row
+    # straddles it.
     channel = ProductionChannel("eta_c", DecayMode("A", "x_y", 0.9, 0.0),
                                 DecayMode("B", "x_y", -0.9, 0.0))
-    sample = sample_pair_decay(channel, 600, seed)
+    sample = sample_pair_decay(channel, _READ_BYTES // 50, seed)
     n_a, n_b = sample.n_a.copy(), sample.n_b.copy()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.txt"

@@ -19,7 +19,8 @@ from hyperon_leggett.catalog import channel_correlation
 from hyperon_leggett.correlations import pair_density_matrix, spin_correlation_diagonal
 from hyperon_leggett.quantum import PAULI, Direction, expectation, tensor
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
-from hyperon_leggett.eventtext import _Workspace, _format_rows
+from hyperon_leggett.eventtext import (_READ_BYTES, _ROUND_TOKENS, _Workspace,
+                                       _format_rows, _read_rows)
 from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _generator, event_moments,
                                         leggett_lhs_from_moments, pair_blocks,
                                         write_pair_events)
@@ -484,10 +485,10 @@ class TestEventFile:
 
     def test_load_holds_the_rows_once(self, tmp_path):
         # The loaded (n, 6) rows are the only copy: n_a and n_b view them.  The
-        # reader parses 32 KiB of text at a time into them, with scratch of under
-        # half the data here, and a second copy of the rows would take the peak
-        # past twice the data.
-        n = 20_000
+        # reader's scratch is fixed, under 14 reads' worth of bytes, and here the
+        # rows take 24 reads' worth: a second copy of them would take the peak past
+        # twice the rows, and scratch that grew with the file past the 14 reads.
+        n = _READ_BYTES // 2
         path = tmp_path / "events.txt"
         save_events(path, sample_pair_decay(SIGMA_LIKE, n, seed=56))
         tracemalloc.start()
@@ -498,6 +499,7 @@ class TestEventFile:
             tracemalloc.stop()
         assert loaded.n_events == n
         assert peak <= 1.75 * n * 6 * 8
+        assert peak - n * 6 * 8 <= 14 * _READ_BYTES
 
     def test_save_is_deterministic(self, tmp_path):
         sample = sample_pair_decay(SIGMA_LIKE, 200, seed=52)
@@ -626,8 +628,11 @@ class TestEventFile:
          "'singlet'"),
         ("generator philox4x64", "generator mt19937",
          "generator 'mt19937' is not 'philox4x64'"),
+        ("hyperon_a A", "hyperon_a ", "hyperon name '' is empty or has surrounding "
+                                      "whitespace or a line break, which an events file "
+                                      "cannot hold"),
     ], ids=["alpha_b nan", "alpha_b out of range", "unknown mother",
-            "spin_state of another mother", "generator"])
+            "spin_state of another mother", "generator", "empty hyperon name"])
     def test_provenance_the_channel_types_refuse_rejected(self, tmp_path, written, edited,
                                                           message):
         path = tmp_path / "events.txt"
@@ -649,15 +654,29 @@ class TestEventFile:
         assert str(exc.value) == (f"{path}: n_b holds non-unit directions "
                                   f"(residual 3.000e+00)")
 
-    @pytest.mark.parametrize("name", ["A ", " A", "A\nB", "A\r"])
-    def test_provenance_that_would_not_read_back_is_not_written(self, tmp_path, name):
-        channel = ProductionChannel("eta_c", DecayMode(name, "x_y", 0.9, 0.0, None),
-                                    DecayMode("B", "x_y", -0.9, 0.0, None))
-        with pytest.raises(ValueError) as exc:
-            save_events(tmp_path / "events.txt", sample_pair_decay(channel, 200, seed=70))
-        assert str(exc.value) == (f"header field hyperon_a {name!r} has surrounding "
-                                  f"whitespace or a line break, which an events file cannot "
-                                  f"hold")
+    @pytest.mark.parametrize("name", ["A ", " A", "A\nB", "A\r", "", "A\x1cB"])
+    def test_provenance_that_would_not_read_back_is_not_written(self, name):
+        # Refused when the mode is built, before any event is drawn, in every way a
+        # sample could take it.
+        message = (f"hyperon name {name!r} is empty or has surrounding whitespace or a "
+                   f"line break, which an events file cannot hold")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DecayMode(name, "x_y", 0.9, 0.0, None)
+        sample = sample_pair_decay(SIGMA_LIKE, 200, seed=70)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(sample, hyperon_b=name)
+
+    @pytest.mark.parametrize("sha", ["abc ", "", "a\nb"])
+    def test_catalog_hash_that_would_not_read_back_is_refused(self, sha):
+        message = (f"catalog_sha256 {sha!r} is empty or has surrounding whitespace or a "
+                   f"line break, which an events file cannot hold")
+        sample = sample_pair_decay(SIGMA_LIKE, 200, seed=71)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(sample, catalog_sha256=sha)
+        fh = io.BytesIO()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_pair_events(fh, SIGMA_LIKE, 200, 71, sha)
+        assert fh.getvalue() == b""
 
     @pytest.mark.parametrize("written, edited, line, expected", [
         ("hyperon_a A", "hyperon_a A\r", 5, "hyperon_a A"),
@@ -747,6 +766,23 @@ class TestEventFile:
         with pytest.raises(ValueError, match=re.escape(
                 f"expected {n_events} rows of 6 columns, got ") + ".*" + re.escape(got)):
             load_events(path)
+
+    def test_reads_of_short_tokens_are_parsed_in_several_rounds(self):
+        # A read of one-digit tokens holds several rounds of _ROUND_TOKENS tokens; rows
+        # of the kernel's form and a bad token sit in later rounds of later reads.
+        rows = [b"1 0 0 0 -1 0"] * (3 * _READ_BYTES // 13)
+        x = sample_pair_decay(SIGMA_LIKE, 3, seed=64).n_a.ravel()
+        kernel = b" ".join(b"%.17g" % v for v in x[:6])
+        for k in range(5 * _ROUND_TOKENS // 6, len(rows), _ROUND_TOKENS // 3):
+            rows[k] = kernel
+        data = _read_rows(io.BytesIO(b"\n".join(rows) + b"\n"), "body", 1, len(rows))
+        expected = np.array([[float(token) for token in row.split()] for row in rows])
+        assert np.array_equal(data.view(np.uint64), expected.view(np.uint64))
+        bad = len(rows) - _ROUND_TOKENS // 4
+        rows[bad] = b"1 0 0 x -1 0"
+        with pytest.raises(ValueError) as exc:
+            _read_rows(io.BytesIO(b"\n".join(rows) + b"\n"), "body", 1, len(rows))
+        assert str(exc.value) == f"body: line {bad + 1}: not a number: b'x'"
 
     def test_last_line_without_newline_rejected(self, tmp_path):
         path = tmp_path / "events.txt"
