@@ -8,7 +8,6 @@ time and should stay user-auditable.  Format: whitespace-separated columns
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass
@@ -17,6 +16,16 @@ from pathlib import Path
 
 from .correlations import pair_correlation
 from .povm import MeasurementParams
+
+# CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before), taken as random.py takes
+# its SHA-512: hashlib maps OpenSSL's libcrypto, some 3.5 MB resident, for one small digest.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 CATALOG_ENV_VAR = "HYPERON_LEGGETT_CATALOG"
 
@@ -114,7 +123,7 @@ def load_catalog(path: str | Path) -> list[DecayMode]:
 
 
 def catalog_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return _sha256(Path(path).read_bytes()).hexdigest()
 
 
 def default_catalog_path() -> Path:

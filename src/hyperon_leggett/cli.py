@@ -37,10 +37,8 @@ from .geometry import build_settings, load_settings, settings_arrays
 from .inequalities import (leggett_max_lhs, leggett_sum_curve, leggett_sum_lhs,
                            leggett_sum_value, optimal_phi, symmetric_alpha_threshold)
 from .povm import MeasurementParams
-from .quantum import PAULI, expectation, row_dot, singlet_state, tensor, triplet_m0_state
-from .simulation import (_BLOCK_ROWS, GENERATOR, check_seed, correlation_estimates,
-                         event_moments, leggett_lhs_from_moments, pair_blocks,
-                         write_pair_events)
+from .quantum import (_BLOCK_ROWS, PAULI, expectation, row_dot, singlet_state, tensor,
+                      triplet_m0_state)
 
 TOOL = "hyperon-leggett"
 
@@ -214,11 +212,16 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    # The event modules load here and in check only: the scans and predict never sample.
+    from .simulation import GENERATOR, check_seed, leggett_lhs_from_moments, write_pair_events
+
     if args.events < 100:
         raise ValueError("--events must be at least 100 for the estimators")
     check_seed(args.seed, "--seed")
-    if not math.isfinite(args.sigma_threshold):
-        raise ValueError(f"--sigma-threshold must be finite, got {args.sigma_threshold!r}")
+    # A threshold at or below 0 would report a violation for an lhs_hat at or below the bound.
+    if not 0.0 < args.sigma_threshold < math.inf:
+        raise ValueError(f"--sigma-threshold must be finite and positive, "
+                         f"got {args.sigma_threshold!r}")
     resolved = _resolve_channel(args)
     if resolved.pa.eta != 0.0 or resolved.pb.eta != 0.0:
         raise ValueError("event simulation models unbiased decay measurements; "
@@ -306,6 +309,8 @@ def _oracle_residuals(rng: np.random.Generator, trials: int,
 
 
 def _run_checks(seed: int, trials: int, negative_control: bool) -> list[tuple[str, bool, str]]:
+    from .simulation import correlation_estimates, event_moments, pair_blocks
+
     rng = np.random.default_rng(seed)
     results: list[tuple[str, bool, str]] = []
 
@@ -376,6 +381,8 @@ def _run_checks(seed: int, trials: int, negative_control: bool) -> list[tuple[st
 
 
 def cmd_check(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    from .simulation import check_seed
+
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     check_seed(args.seed, "--seed")
@@ -448,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_settings_args(p_sim)
     p_sim.add_argument("--sigma-threshold", type=float, default=3.0,
                        help="significance (in standard errors) required to report "
-                            "a violation (default 3)")
+                            "a violation; finite and positive (default 3)")
     p_sim.add_argument("--out", default=".",
                        help="output directory for events.txt and summary.json")
     p_sim.set_defaults(func=cmd_simulate)

@@ -15,8 +15,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .eventtext import _store_slots
-
 # Rows formatted at a time: their scratch, up to about 1 KB a row, stays under 1 MB.
 _ROWS = 1024
 
@@ -30,6 +28,20 @@ class Texts:
                                    dtype="V24")
         self.lengths = np.array([len(cell) for cell in cells])
         self.overlong = cells if self.lengths.max() > 24 else ()
+
+
+def _store_slots(text: memoryview, slots: np.ndarray, lengths: np.ndarray, slow: np.ndarray,
+                 tokens: list[bytes], starts: np.ndarray | None = None) -> int:
+    """Store the 24-byte ``slots`` in ``text`` (the total length and 23 bytes more) at
+    offsets from ``lengths``, in index order, each over the previous one past that one's
+    length, then the ``tokens`` of the indices ``slow``; return the total length."""
+    starts = np.cumsum(lengths, out=starts)
+    total = int(starts[-1])
+    starts -= lengths
+    np.ndarray((total + 1,), "V24", text, strides=(1,))[starts] = slots
+    for start, token in zip(starts[slow].tolist(), tokens):
+        text[start:start + len(token)] = token
+    return total
 
 
 @functools.cache
@@ -192,7 +204,7 @@ def format_block(columns: Sequence[np.ndarray | tuple[Texts, int | np.ndarray]],
 def _format_rows(columns: Sequence[np.ndarray | tuple[Texts, int | np.ndarray]],
                  rows: int) -> memoryview:
     """The text of format_block for ``rows`` rows: each cell laid in a 24-byte slot, and the
-    slots stored by eventtext._store_slots, with the texts left to repr and any longer than
+    slots stored by _store_slots, with the texts left to repr and any longer than
     a slot as its tokens."""
     width = len(columns)
     slots = np.empty((rows, width, 3), dtype=np.uint64)

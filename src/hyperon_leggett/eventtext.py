@@ -14,6 +14,8 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .csvtext import _store_slots
+
 # 10**(17 + z) for z zeros after "0." (exact doubles), and its Veltkamp split hi + lo.
 _SCALES = np.array([1e17, 1e18, 1e19, 1e20]) * np.array([[1.0], [134217729.0], [1.0]])
 _SCALES[1] -= _SCALES[1] - _SCALES[0]  # at most 26 significant bits
@@ -108,20 +110,6 @@ def _format_rows(rows: np.ndarray, work: _Workspace) -> memoryview:
                          ints[5])
     work.text[total] = ord("\n")  # the separator before the first token is dropped
     return work.text[1:total + 1]
-
-
-def _store_slots(text: memoryview, slots: np.ndarray, lengths: np.ndarray, slow: np.ndarray,
-                 tokens: list[bytes], starts: np.ndarray | None = None) -> int:
-    """Store the 24-byte ``slots`` in ``text`` (the total length and 23 bytes more) at
-    offsets from ``lengths``, in index order, each over the previous one past that one's
-    length, then the ``tokens`` of the indices ``slow``; return the total length."""
-    starts = np.cumsum(lengths, out=starts)
-    total = int(starts[-1])
-    starts -= lengths
-    np.ndarray((total + 1,), "V24", text, strides=(1,))[starts] = slots
-    for start, token in zip(starts[slow].tolist(), tokens):
-        text[start:start + len(token)] = token
-    return total
 
 
 # Body bytes read at a time: each read costs about 80 NumPy operations whatever its size, and
@@ -242,7 +230,7 @@ def _parse_tokens(windows: np.ndarray, body: np.ndarray, separators: np.ndarray,
     sign, test = scratch[2].view(np.bool_)[:k], scratch[2].view(np.bool_)[k:2 * k]
     np.equal(np.take(body, starts, out=sign.view(np.uint8), mode="clip"), ord("-"), out=sign)
     np.subtract(ends, starts, out=n)
-    np.subtract(n, 1, out=n, where=sign)
+    n -= sign
     np.minimum(n, 23, out=n)
     bad, m = _token_digits(windows, ends, n, scratch[3:])
     power5, q, r = ints[3], ints[4], ints[5]
@@ -257,7 +245,7 @@ def _parse_tokens(windows: np.ndarray, body: np.ndarray, separators: np.ndarray,
     d -= np.multiply(np.take(_DIGIT_SCALES, z, out=ints[4], mode="clip"), m, out=ints[4])
     np.copyto(test, d, casting="unsafe")
     bad |= test
-    np.negative(out, out=out, where=sign)
+    out *= np.subtract(1.0, np.multiply(sign, 2.0, out=floats[5]), out=floats[5])
     return np.flatnonzero(bad)
 
 

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 ATOL = 1e-12
+# Rows per block of array work (events, scan rows, oracle trials), so that no
+# temporary grows with the input.
+_BLOCK_ROWS = 4096
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -46,13 +46,11 @@ from .correlations import a_side_inversion, spin_correlation_diagonal
 from .eventtext import _Workspace, _format_rows, _read_rows
 from .geometry import TripleSettings
 from .inequalities import leggett_sum_value
-from .quantum import row_dot
+from .quantum import _BLOCK_ROWS, row_dot
 
 GENERATOR = "philox4x64"
 
 _EVENTS_FORMAT = "hyperon-leggett-events 1"
-# Rows per block when writing text and when accumulating moments.
-_BLOCK_ROWS = 4096
 # Provenance fields of an events file, in header order; each is an EventSample field.
 _PROVENANCE_FIELDS = ("generator", "seed", "mother", "hyperon_a", "hyperon_b",
                       "alpha_a", "alpha_b", "spin_state", "catalog_sha256")
@@ -99,7 +97,8 @@ def _flip_about_axes(axes: np.ndarray, alpha: float, w: np.ndarray,
     isotropic w: w is kept where u_flip falls below (1 + alpha * axis.w)/2 and
     reversed elsewhere, in place."""
     flip = u_flip >= 0.5 * (1.0 + alpha * row_dot(axes, w))
-    return np.negative(w, out=w, where=flip[:, None])
+    w *= (1.0 - 2.0 * flip)[:, None]
+    return w
 
 
 @dataclass(frozen=True)

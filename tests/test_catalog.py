@@ -1,10 +1,13 @@
+import hashlib
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from hyperon_leggett import (DecayMode, ProductionChannel,
-                             build_settings, channel_correlation,
+                             build_settings, catalog, channel_correlation,
                              default_catalog_path, leggett_sum_lhs, load_catalog,
                              make_pair_channel)
 from hyperon_leggett.catalog import (CATALOG_ENV_VAR, catalog_sha256, find_mode,
@@ -61,6 +64,26 @@ class TestShippedCatalog:
     def test_hash_is_stable(self):
         path = default_catalog_path()
         assert catalog_sha256(path) == catalog_sha256(path)
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_hash_is_hashlib_sha256(self, tmp_path, monkeypatch, fallback):
+        digest = catalog_sha256
+        if fallback:
+            # With CPython's built-in SHA-256 modules hidden, a fresh copy of the module
+            # takes hashlib's.
+            for name in ("_sha2", "_sha256"):
+                monkeypatch.setitem(sys.modules, name, None)
+            spec = importlib.util.spec_from_file_location("hyperon_leggett._catalog_copy",
+                                                          catalog.__file__)
+            copy = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, spec.name, copy)
+            spec.loader.exec_module(copy)
+            assert copy._sha256 is hashlib.sha256
+            digest = copy.catalog_sha256
+        (tmp_path / "empty").write_bytes(b"")
+        (tmp_path / "random").write_bytes(np.random.default_rng(22).bytes(1 << 20))
+        for path in (default_catalog_path(), tmp_path / "empty", tmp_path / "random"):
+            assert digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestParsing:

@@ -557,6 +557,19 @@ class TestSimulate:
         assert "--sigma-threshold must be finite" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("threshold", ["-1000", "0", "-0.0", "-5e-324"])
+    def test_non_positive_sigma_threshold_refused(self, capsys, tmp_path, threshold):
+        # At -1000 this run (lhs_hat 0.18, significance -23.8) reported a violation.
+        out_dir = tmp_path / "run"
+        code, out, err = run(["simulate", "--channel", "SigmaPlus", "--alpha-b", "0",
+                              "--events", "1000", f"--sigma-threshold={threshold}",
+                              "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert out == ""
+        assert (f"error: --sigma-threshold must be finite and positive, "
+                f"got {float(threshold)!r}") in err
+        assert not out_dir.exists()
+
     def test_phi_and_settings_file_are_exclusive(self, capsys, tmp_path):
         from hyperon_leggett import build_settings, save_settings
         path = tmp_path / "settings.txt"

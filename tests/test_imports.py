@@ -1,0 +1,68 @@
+"""Which modules a command loads: the package resolves its exports and submodules on
+first access, and the scans, which never sample, load neither the event modules nor
+OpenSSL (hashlib's _hashlib, or numpy.random, which maps it through secrets and hmac)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hyperon_leggett
+
+SRC = str(Path(hyperon_leggett.__file__).resolve().parents[1])
+# The event modules and the two ways to OpenSSL: a scan needs none of them.
+EVENT_STACK = ("hyperon_leggett.simulation", "hyperon_leggett.eventtext", "_hashlib",
+               "numpy.random")
+
+
+def fresh(code: str) -> object:
+    """The JSON that ``code`` prints, run in a new interpreter on this source tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("HYPERON_LEGGETT_CATALOG", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_scans_load_neither_the_event_stack_nor_openssl(tmp_path):
+    phi, region = str(tmp_path / "phi.csv"), str(tmp_path / "region.csv")
+    result = fresh(f"""
+import json, sys
+import numpy
+numpy_own = set(sys.modules)  # numpy 1.x itself imports numpy.random
+from hyperon_leggett import cli
+codes = [cli.main(["scan-phi", "--channel", "SigmaPlus", "--steps", "300", "--out", {phi!r}]),
+         cli.main(["scan-region", "--steps", "21", "--out", {region!r}])]
+loaded = set({EVENT_STACK!r}) & (set(sys.modules) - numpy_own)
+print(json.dumps({{"codes": codes, "loaded": sorted(loaded),
+                  "csvtext": "hyperon_leggett.csvtext" in sys.modules}}))
+""")
+    assert result == {"codes": [0, 0], "loaded": [], "csvtext": True}
+    assert len(Path(region).read_text().splitlines()) > 21 ** 2
+
+
+def test_package_loads_its_modules_on_first_access():
+    result = fresh("""
+import json, sys
+import hyperon_leggett
+alone = sorted(m for m in sys.modules if m.startswith("hyperon_leggett."))
+simulation = hyperon_leggett.simulation
+print(json.dumps({"alone": alone, "simulation": simulation.__name__,
+                  "load_events": hyperon_leggett.load_events is simulation.load_events,
+                  "unknown": hasattr(hyperon_leggett, "no_such_name")}))
+""")
+    assert result == {"alone": [], "simulation": "hyperon_leggett.simulation",
+                      "load_events": True, "unknown": False}
+
+
+def test_every_export_resolves():
+    names = {}
+    exec("from hyperon_leggett import *", names)
+    names.pop("__builtins__")
+    assert sorted(names) == sorted(hyperon_leggett.__all__)
+    modules = [getattr(hyperon_leggett, module) for module in (
+        "quantum", "povm", "geometry", "correlations", "inequalities", "catalog", "simulation")]
+    for name in hyperon_leggett.__all__:
+        assert any(getattr(module, name, None) is names[name] for module in modules), name
