@@ -32,7 +32,7 @@ _EXPORTS = {
                    "estimate_leggett_lhs", "load_events", "sample_pair_decay", "save_events"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "cli", "csvtext", "eventtext")
+_SUBMODULES = (*_EXPORTS, "cli", "eventtext", "floattext")
 __all__ = list(_MODULE_OF)
 
 

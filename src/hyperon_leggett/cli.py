@@ -32,7 +32,7 @@ from .correlations import (PAIR_STATES, correlation_singlet, correlation_triplet
                            correlation_via_operators, joint_prob_matrix,
                            joint_prob_singlet, pair_correlation, pair_density_matrix,
                            spin_correlation_diagonal)
-from .csvtext import Texts, format_block
+from .floattext import Texts, format_block
 from .geometry import build_settings, load_settings, settings_arrays
 from .inequalities import (leggett_max_lhs, leggett_sum_curve, leggett_sum_lhs,
                            leggett_sum_value, optimal_phi, symmetric_alpha_threshold)
@@ -119,7 +119,7 @@ def _emit_json(payload: Mapping[str, Any], out: str | None) -> None:
 
 def _emit_csv(out: str | None, metadata: Mapping[str, Any], header: Sequence[str],
               blocks: Iterator[Sequence[Any]]) -> None:
-    """Write a scan as CSV, one csvtext.format_block per block of rows, so the whole text
+    """Write a scan as CSV, one floattext.format_block per block of rows, so the whole text
     is never held.  The bytes go to stdout's binary buffer (after its pending text), or,
     for a text stream without one, as text.  The first block is drawn before the output
     is opened, so a scan refused while computing writes nothing."""

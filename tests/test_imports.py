@@ -1,6 +1,7 @@
 """Which modules a command loads: the package resolves its exports and submodules on
-first access, and the scans, which never sample, load neither the event modules nor
-OpenSSL (hashlib's _hashlib, or numpy.random, which maps it through secrets and hmac)."""
+first access, the scans, which never sample, load neither the event modules nor
+OpenSSL (hashlib's _hashlib, or numpy.random, which maps it through secrets and hmac),
+and simulate loads the float-text kernel its writer runs but builds no reader table."""
 
 import json
 import os
@@ -37,10 +38,29 @@ codes = [cli.main(["scan-phi", "--channel", "SigmaPlus", "--steps", "300", "--ou
          cli.main(["scan-region", "--steps", "21", "--out", {region!r}])]
 loaded = set({EVENT_STACK!r}) & (set(sys.modules) - numpy_own)
 print(json.dumps({{"codes": codes, "loaded": sorted(loaded),
-                  "csvtext": "hyperon_leggett.csvtext" in sys.modules}}))
+                  "floattext": "hyperon_leggett.floattext" in sys.modules}}))
 """)
-    assert result == {"codes": [0, 0], "loaded": [], "csvtext": True}
+    assert result == {"codes": [0, 0], "loaded": [], "floattext": True}
     assert len(Path(region).read_text().splitlines()) > 21 ** 2
+
+
+def test_simulate_loads_the_writer_stack_and_no_reader_table(tmp_path):
+    out = str(tmp_path / "sim")
+    result = fresh(f"""
+import contextlib, io, json, sys
+from hyperon_leggett import cli
+with contextlib.redirect_stdout(io.StringIO()):  # simulate prints its summary
+    code = cli.main(["simulate", "--channel", "SigmaPlus", "--events", "5000", "--out", {out!r}])
+from hyperon_leggett import eventtext
+print(json.dumps({{"code": code, "reader_tables": eventtext._reader_tables.cache_info().currsize,
+                  "loaded": sorted(m for m in sys.modules if m.startswith("hyperon_leggett."))}}))
+""")
+    assert result.pop("code") in (0, 1)  # 1: too few events to see the violation
+    assert result == {"reader_tables": 0, "loaded": [
+        "hyperon_leggett.catalog", "hyperon_leggett.cli", "hyperon_leggett.correlations",
+        "hyperon_leggett.eventtext", "hyperon_leggett.floattext", "hyperon_leggett.geometry",
+        "hyperon_leggett.inequalities", "hyperon_leggett.povm", "hyperon_leggett.quantum",
+        "hyperon_leggett.simulation"]}
 
 
 def test_package_loads_its_modules_on_first_access():

@@ -20,7 +20,7 @@ from hyperon_leggett import (DecayMode, Direction, MeasurementParams, Production
                              sample_pair_decay, save_events)
 from hyperon_leggett.catalog import MOTHERS, channel_correlation, parse_catalog
 from hyperon_leggett.cli import _emit_csv, main
-from hyperon_leggett.csvtext import Texts, format_block
+from hyperon_leggett.floattext import Texts, format_block
 from hyperon_leggett.correlations import (correlation_singlet, correlation_triplet_m0,
                                           correlation_via_operators, joint_prob_matrix,
                                           joint_prob_singlet, pair_correlation)

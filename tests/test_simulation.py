@@ -21,6 +21,7 @@ from hyperon_leggett.quantum import PAULI, Direction, expectation, tensor
 from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
 from hyperon_leggett.eventtext import (_READ_BYTES, _ROUND_TOKENS, _Workspace,
                                        _format_rows, _read_rows)
+from hyperon_leggett.floattext import _rounded17
 from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _generator, event_moments,
                                         leggett_lhs_from_moments, pair_blocks,
                                         write_pair_events)
@@ -457,6 +458,24 @@ class TestEventText:
             tracemalloc.stop()
         assert bytes(text) == percent_rows(rows)
         assert peak <= 2 * len(text)
+
+    def test_kernel_allocates_no_array(self):
+        # Each step of the shared decade and N_17 kernel writes a row of its scratch in
+        # one dtype; a mixed-dtype ufunc would allocate a cast buffer of up to 64 KiB.
+        a = np.abs(np.hstack(next(pair_blocks(SIGMA_LIKE, 1366, seed=61))).ravel()[:8192])
+        scratch = np.empty((7, a.size))
+        _rounded17(a, scratch)  # builds the tables
+        tracemalloc.start()
+        try:
+            decade, n17 = _rounded17(a, scratch)[:2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+        # "%.16e" writes the same 17 digits and the decade e.
+        texts = [b"%.16e" % v for v in a[a >= 1e-4].tolist()]
+        assert n17[a >= 1e-4].tolist() == [int(t[:1] + t[2:18]) for t in texts]
+        assert decade[a >= 1e-4].tolist() == [int(t[19:]) + 4 for t in texts]
 
     def test_exact_ties_round_half_even(self):
         # 0.5 + 2**-18 = 0.500003814697265625 has 18 significant digits.
