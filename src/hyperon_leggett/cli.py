@@ -123,7 +123,7 @@ def _emit_csv(out: str | None, metadata: Mapping[str, Any], header: Sequence[str
     is never held.  The bytes go to stdout's binary buffer (after its pending text), or,
     for a text stream without one, as text.  The first block is drawn before the output
     is opened, so a scan refused while computing writes nothing."""
-    first = next(blocks)
+    blocks = itertools.chain([next(blocks)], blocks)
     head = "".join(f"# {key} {value}\n" for key, value in metadata.items())
     with open(out, "wb") if out else nullcontext(sys.stdout) as fh:
         if out:
@@ -133,7 +133,7 @@ def _emit_csv(out: str | None, metadata: Mapping[str, Any], header: Sequence[str
             write = (fh.buffer.write if hasattr(fh, "buffer")
                      else lambda data: fh.write(str(data, "utf-8")))
         write(f"{head}{','.join(header)}\n".encode("utf-8"))
-        for block in itertools.chain([first], blocks):
+        for block in blocks:
             for text in format_block(block):
                 write(text)
 
@@ -161,19 +161,33 @@ def cmd_predict(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return 0
 
 
+def _linspace_rows(start: float, stop: float, num: int, first: int, last: int) -> np.ndarray:
+    """np.linspace(start, stop, num)[first:last] for num >= 2, by np.linspace's own
+    arithmetic, so that a grid made a block at a time has the bits of the whole one."""
+    rows, div = np.arange(first, min(last, num), dtype=float), num - 1
+    if (stop - start) / div == 0:  # a step that underflows: the grid divides first
+        rows /= div
+        rows *= stop - start
+    else:
+        rows *= (stop - start) / div
+    rows += start
+    if last >= num:
+        rows[-1] = stop
+    return rows
+
+
 def cmd_scan_phi(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
     if not 0.0 < args.phi_min_deg < args.phi_max_deg <= 180.0:
         raise ValueError("need 0 < --phi-min-deg < --phi-max-deg <= 180")
     resolved = _resolve_channel(args)
-    phis = np.linspace(math.radians(args.phi_min_deg),
-                       math.radians(args.phi_max_deg), args.steps)
+    low, high = math.radians(args.phi_min_deg), math.radians(args.phi_max_deg)
 
     def blocks() -> Iterator[tuple[np.ndarray, ...]]:
         # Row-wise, so a block at a time gives the same bits as the whole grid.
         for start in range(0, args.steps, _BLOCK_ROWS):
-            block = phis[start:start + _BLOCK_ROWS]
+            block = _linspace_rows(low, high, args.steps, start, start + _BLOCK_ROWS)
             e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa,
                                             resolved.pb, *settings_arrays(block))
             lhs = leggett_sum_value(e + e_prime, resolved.pb.alpha, block)

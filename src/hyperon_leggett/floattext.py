@@ -17,8 +17,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# CSV rows formatted at a time: their scratch, up to about 1 KB a row, stays under 1 MB.
-_ROWS = 1024
+# A pass of format_block: floats formatted in one _shortest_floats call, whose fixed cost
+# (some 110 NumPy calls, 0.1 ms) is then under a third of its time; and cells at most, as its
+# workspace takes 64 bytes a cell: 16384 (scan-region's 4096-row blocks in one pass) raised
+# the scan's peak RSS by 0.5 MB.
+_VALUES, _CELLS = 4096, 8192
 
 
 @functools.cache
@@ -155,12 +158,13 @@ def _store_slots(slots: np.ndarray, lengths: np.ndarray, slow: np.ndarray, token
                  text: memoryview | None = None, starts: np.ndarray | None = None) -> memoryview:
     """The text of the 24-byte ``slots``, each stored at its offset from ``lengths``, in index
     order, over the previous one past that one's length, and then the ``tokens`` of the
-    indices ``slow``, whose lengths it sets; made in ``text`` (the total length and 23 bytes
-    more) or a buffer of its own."""
+    indices ``slow``, whose lengths it sets; made in ``text`` if it holds the total length
+    and 24 bytes more, else in a buffer of its own."""
     lengths[slow] = [len(token) for token in tokens]
     starts = np.cumsum(lengths, out=starts)
     total = int(starts[-1])
-    text = np.empty(total + 24, dtype=np.uint8).data if text is None else text
+    if text is None or len(text) < total + 24:
+        text = np.empty(total + 24, dtype=np.uint8).data
     starts -= lengths
     np.ndarray((total + 1,), "V24", text, strides=(1,))[starts] = slots
     for start, token in zip(starts[slow].tolist(), tokens):
@@ -179,79 +183,143 @@ class Texts:
         self.overlong = cells if self.lengths.max() > 24 else ()
 
 
-def _shortest_floats(x: np.ndarray, separator: bytes, out: np.ndarray,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The repr text of each x of a float array, then ``separator``, as 24-byte slots in
-    ``out``, an (n, 3) uint64 array; return their lengths and the indices of the values
-    left to repr (whose slots and lengths are not text): zero, the exponent forms outside
-    [1e-4, 1e3), and texts under 15 digits.
+@functools.cache
+def _flags(separator: int) -> Texts:
+    """The texts of a bool column: 0 and 1, then ``separator``."""
+    return Texts([b"0%c" % separator, b"1%c" % separator])
 
-    For the rest, the sign b of err - rint(err) places a 10**(16 - e) about N_17, so N_16
-    and N_15 are N_17 over 10 and 100, rounded half to even by the remainder R: up when
-    2R + b + (quotient odd) exceeds 10 or 100.  N_k reads back as a when power N_k - N_17 +
-    rint(err) lies within half an ulp of a (times 10**(16 - e)) of err: two exact
-    comparisons.  The ends of that interval have over 40 decimal places, so no N_k lies on
-    one.  It is symmetric but for powers of two, so the nearest k-digit decimal reads back
-    whenever any does: the text has 15 digits if N_15 reads back, else 16 if N_16 does,
-    else 17; and under 15 if N_15 reads back and ends in 0, as it does for the powers of
-    two in the range, which have at most 13 digits."""
-    scratch = np.empty((8, x.size))
+
+def _shortest_floats(x: np.ndarray, separators: bytes, out: np.ndarray, scratch: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The repr text of each x of a float array, then its separator (``separators`` repeat
+    along x), as 24-byte slots in ``out``, a C-contiguous (n, 3) uint64 array; return their
+    lengths and the indices of the values left to repr (whose slots and lengths are not
+    text): zero, the exponent forms outside [1e-4, 1e3), and texts under 15 digits.
+    ``scratch`` is a C-contiguous (8, n) float array; it and ``out`` are overwritten, each
+    step one ufunc of a single dtype, so the kernel allocates no array."""
+    digits, fraction, slow = _shortest_digits(x, out, scratch)
     a = np.abs(x, out=scratch[7])
-    slow = ~((a >= 1e-4) & (a < 1e3))
+    a[slow] = 1.5
+    return _lay_out(x, a, digits, fraction, separators, out, scratch[1:6].view(np.int64)), slow
+
+
+def _shortest_digits(x: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                     ) -> tuple[np.ndarray, ...]:
+    """The digits of _shortest_floats for each x and the number of them after the point,
+    in rows 6 and 0 of ``scratch``, and the indices of the values left to repr; the rows
+    of ``out`` serve as flags and as N_16 and N_15.
+
+    Where |x| = a is in [1e-4, 1e3), the sign b of err - rint(err) places a 10**(16 - e)
+    about N_17, so N_16 and N_15 are N_17 over 10 and 100, rounded half to even by the
+    remainder R: up when 2R + b + (quotient odd) exceeds 10 or 100.  N_k reads back as a
+    when power N_k - N_17 + rint(err) lies within half an ulp of a (times 10**(16 - e)) of
+    err: two exact comparisons.  The ends of that interval have over 40 decimal places, so
+    no N_k lies on one.  It is symmetric but for powers of two, so the nearest k-digit
+    decimal reads back whenever any does: the text has 15 digits if N_15 reads back, else
+    16 if N_16 does, else 17; and under 15 if N_15 reads back and ends in 0, as it does for
+    the powers of two in the range, which have at most 13 digits."""
+    ints, (flags, n16, n15) = scratch.view(np.int64), out.reshape(3, x.size).view(np.int64)
+    slow, trip16, trip15, flag = flags.view(np.bool_).reshape(8, x.size)[:4]
+    a = np.abs(x, out=scratch[7])
+    inside = np.greater_equal(a, 1e-4, out=flag)
+    inside &= np.less(a, 1e3, out=slow)
+    np.logical_not(inside, out=slow)
     np.copyto(a, 1.5, where=slow)  # any value in the range: no cast below overflows
     decade, n17, err, rounded = _rounded17(a, scratch[:7])
-    b = np.subtract(err > rounded, err < rounded, dtype=np.int64)
-    half = ((a.view(np.int64) >> 52) - 53 << 52).view(float)  # exact
-    half *= np.take(_kernel_tables().scales[0], decade)
-    found = []
-    for power in (10, 100):
-        q = n17 // power
-        n = q + (2 * (n17 - q * power) + b + (q & 1) > power)
-        c = (n * power - n17).astype(float)
+    # Half an ulp of a, 2**(E - 53), times 10**(16 - e), exactly; t = 2 N_17 + b; and c,
+    # in a's row, which _shortest_floats makes again.
+    half, temp, t, temp_int, c = scratch[3], scratch[4], ints[2], ints[4], a
+    np.left_shift(np.subtract(np.right_shift(a.view(np.int64), 52, out=ints[3]), 53,
+                              out=ints[3]), 52, out=ints[3])
+    half *= np.take(_kernel_tables().scales[0], decade, out=temp, mode="clip")
+    np.copyto(t, np.sign(np.subtract(err, rounded, out=temp), out=temp), casting="unsafe")
+    t += n17
+    t += n17
+    for power, n, trip in ((10, n16, trip16), (100, n15, trip15)):
+        q = np.floor_divide(n17, power, out=n)
+        up = np.subtract(t, np.multiply(q, 2 * power, out=temp_int), out=temp_int)
+        up += np.bitwise_and(q, 1, out=c.view(np.int64))
+        up -= power + 1  # 2R + b + (q odd) - power - 1, which is >= 0 to round up
+        q += np.right_shift(up, 63, out=up)
+        q += 1
+        np.copyto(c, np.subtract(np.multiply(n, power, out=temp_int), n17, out=temp_int),
+                  casting="unsafe")
         c += rounded
-        margin = np.minimum(err - (c - half), (c + half) - err)
-        found.append((n, margin > 0))
-    (n16, trip16), (n15, trip15) = found
-    slow |= trip15 & ~(n15 % 10).astype(bool)
+        low = np.subtract(err, np.subtract(c, half, out=temp), out=temp)
+        c += half
+        c -= err
+        np.greater(np.minimum(low, c, out=low), 0.0, out=trip)
+    short = np.equal(np.multiply(np.floor_divide(n15, 10, out=temp_int), 10, out=temp_int), n15,
+                     out=flag)
+    short &= trip15
+    slow |= short
+    np.copyto(n17, n16, where=trip16)
+    np.copyto(n17, n15, where=trip15)
     # N_k has k - 1 - e digits after the point, for e + 4 in decade.
-    lengths = _lay_out(x, a, np.where(trip15, n15, np.where(trip16, n16, n17)),
-                       20 - decade - trip15 - trip16, separator, out, scratch[:5].view(np.int64))
-    return lengths, np.flatnonzero(slow)
+    fraction = np.subtract(20, decade, out=decade)
+    for trip in (trip15, trip16):
+        np.copyto(temp_int, trip)
+        fraction -= temp_int
+    return n17, fraction, np.flatnonzero(slow)
 
 
 def format_block(columns: Sequence[np.ndarray | tuple[Texts, int | np.ndarray]],
                  ) -> Iterator[memoryview]:
-    """The CSV text of a block of rows, _ROWS rows at a time, given one entry per column: a
-    float array (repr of each value), a bool array (0 or 1), or (Texts, index), the texts
-    at ``index`` (an int for a constant column), which end with their own separators.  At
-    least one entry is an array.  Each cell is laid in a 24-byte slot and the slots stored
-    by _store_slots, with the texts left to repr and any longer than a slot as tokens."""
+    """The CSV text of a block of rows, given one entry per column: a float array (repr of
+    each value), a bool array (0 or 1), or (Texts, index), the texts at ``index`` (an int for
+    a constant column), which end with their own separators.  At least one entry is an
+    array.  A pass takes the rows that hold about _VALUES floats and at most _CELLS cells:
+    their floats, gathered row by row, go through one _shortest_floats call, each column's
+    separator in its repeating pattern, and _store_slots stores every cell's slot, with the
+    texts left to repr and any longer than a slot as tokens.  Each pass is made in one
+    workspace allocated per block, so each text it yields is released when the next is
+    drawn, and the last when the block ends."""
     rows, width = next(len(c) for c in columns if isinstance(c, np.ndarray)), len(columns)
-    for start in range(0, rows, _ROWS):
-        part, n = slice(start, start + _ROWS), min(_ROWS, rows - start)
-        slots = np.empty((n, width, 3), dtype=np.uint64)
-        cells = slots.view("V24")[..., 0]
-        lengths = np.empty((n, width), dtype=np.int64)
-        slow_cells, slow_texts = [], []
-        for j, column in enumerate(columns):
-            separator = b"\n" if j == width - 1 else b","
-            if isinstance(column, tuple):
-                table, index = column
-                index = index[part] if isinstance(index, np.ndarray) else index
-                if table.overlong:  # written after the slots, as the texts left to repr are
-                    index = np.broadcast_to(index, n)
-                    overlong = np.flatnonzero(table.lengths[index] > 24)
-                    slow_cells.append(overlong * width + j)
-                    slow_texts += [table.overlong[k] for k in index[overlong].tolist()]
-            elif column.dtype == bool:
-                table, index = Texts([b"0" + separator, b"1" + separator]), column[part]
-                index = index.view(np.uint8)
+    ends = b"," * (width - 1) + b"\n"
+    floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype != bool]
+    texts = [(j, c if isinstance(c, tuple) else (_flags(ends[j]), c.view(np.uint8)))
+             for j, c in enumerate(columns) if j not in floats]
+    k, pattern, floats = len(floats), bytes(ends[j] for j in floats), np.array(floats, dtype=int)
+    step = max(min(_VALUES // max(k, 1), _CELLS // width), 1)
+    # In 8-byte words, for v values and c cells: the kernel's slots, values and scratch (its
+    # first row the lengths) in [0, 12 v); once those slots and lengths are copied to the
+    # cells', the text and its starts in [0, 4 c + 3); the cells' slots and lengths past both.
+    v, c = min(step, rows) * k, min(step, rows) * width
+    work = np.empty(max(12 * v, 5 * v + 4 * c, 8 * c + 3), dtype=np.uint64)
+    for start in range(0, rows, step):
+        part, n = slice(start, start + step), min(step, rows - start)
+        v, c = n * k, n * width
+        at = max(5 * v, 4 * c + 3)
+        slots = work[at:at + 3 * c].view("V24")
+        lengths = work[at + 3 * c:at + 4 * c].view(np.int64)
+        cells, cell_lengths = slots.reshape(n, width), lengths.reshape(n, width)
+        slow, tokens = [np.empty(0, dtype=np.intp)], []
+        if k:
+            x = work[3 * v:4 * v].view(float)
+            np.stack([columns[j][part] for j in floats], axis=1, out=x.reshape(n, k))
+            float_lengths, index = _shortest_floats(x, pattern, work[:3 * v].reshape(v, 3),
+                                                    work[4 * v:12 * v].view(float).reshape(8, v))
+            cells[:, floats] = work[:3 * v].view("V24").reshape(n, k)
+            cell_lengths[:, floats] = float_lengths.reshape(n, k)
+            slow.append(index // k * width + floats[index % k])
+            tokens += [b"%r%c" % (value, pattern[i])
+                       for i, value in zip((index % k).tolist(), x[index].tolist())]
+        for j, (table, index) in texts:
+            if isinstance(index, np.ndarray):  # gathered in the text's room, free until stored
+                index = index[part]
+                cells[:, j] = np.take(table.slots, index, out=work[:3 * n].view("V24"),
+                                      mode="clip")
+                cell_lengths[:, j] = np.take(table.lengths, index,
+                                             out=work[3 * n:4 * n].view(np.int64), mode="clip")
             else:
-                lengths[:, j], slow = _shortest_floats(column[part], separator, slots[:, j])
-                slow_cells.append(slow * width + j)
-                slow_texts += [b"%r%s" % (v, separator) for v in column[part][slow].tolist()]
-                continue
-            cells[:, j] = table.slots[index]
-            lengths[:, j] = table.lengths[index]
-        slow = np.concatenate(slow_cells) if slow_cells else np.empty(0, dtype=np.intp)
-        yield _store_slots(cells.reshape(-1), lengths.reshape(-1), slow, slow_texts)
+                cells[:, j], cell_lengths[:, j] = table.slots[index], table.lengths[index]
+            if table.overlong:  # written after the slots, as the texts left to repr are
+                index = np.broadcast_to(index, n)
+                overlong = np.flatnonzero(table.lengths[index] > 24)
+                slow.append(overlong * width + j)
+                tokens += [table.overlong[i] for i in index[overlong].tolist()]
+        text = _store_slots(slots, lengths, np.concatenate(slow), tokens,
+                            work[:3 * c + 3].view(np.uint8).data,
+                            work[3 * c + 3:4 * c + 3].view(np.int64))
+        yield text
+        text.release()

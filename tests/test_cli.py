@@ -239,6 +239,20 @@ class TestScanPhi:
                     for d, p, v in zip(np.degrees(phis).tolist(), phis.tolist(), lhs.tolist())]
         assert data_rows(out) == expected
 
+    def test_memory_does_not_grow_with_steps(self, capsys, tmp_path):
+        # The angles are made a block at a time: 16 blocks of them are 0.5 MB as one grid.
+        run(["scan-phi", "--channel", "SigmaPlus", "--steps", "200"], capsys)  # builds tables
+        peaks = []
+        for blocks in (2, 16):
+            tracemalloc.start()
+            try:
+                main(["scan-phi", "--channel", "SigmaPlus", "--steps",
+                      str(blocks * _BLOCK_ROWS), "--out", str(tmp_path / f"phi{blocks}.csv")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
     def test_performance_budget(self, capsys):
         start = time.perf_counter()
         code, out, _ = run(["scan-phi", "--channel", "SigmaPlus", "--steps", "10000"], capsys)

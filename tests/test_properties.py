@@ -13,14 +13,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperon_leggett import (DecayMode, Direction, MeasurementParams, ProductionChannel,
                              build_settings, leggett_sum_lhs, load_events,
                              sample_pair_decay, save_events)
 from hyperon_leggett.catalog import MOTHERS, channel_correlation, parse_catalog
-from hyperon_leggett.cli import _emit_csv, main
-from hyperon_leggett.floattext import Texts, format_block
+from hyperon_leggett.cli import _emit_csv, _linspace_rows, main
+from hyperon_leggett.floattext import _CELLS, _VALUES, Texts, format_block
 from hyperon_leggett.correlations import (correlation_singlet, correlation_triplet_m0,
                                           correlation_via_operators, joint_prob_matrix,
                                           joint_prob_singlet, pair_correlation)
@@ -345,8 +345,10 @@ def test_scan_csv_matches_percent_format(pool, n_rows, seed):
 
 
 def float_text(values) -> list[str]:
-    """The cells format_block writes for a column of floats."""
-    return b"".join(format_block([np.array(values, dtype=float)])).decode().splitlines()
+    """The cells format_block writes for a column of floats (each text it yields is
+    released when the next is drawn)."""
+    return b"".join(bytes(text) for text in format_block([np.array(values, dtype=float)])
+                    ).decode().splitlines()
 
 
 def nudged(value: float, steps: int) -> float:
@@ -391,6 +393,62 @@ def test_float_kernel_text_is_repr_over_each_decade_and_at_ties():
                              for e in range(-4, 3)] + [10 ** rng.uniform(-4, 3, 20000), *ties])
     values[::3] *= -1
     assert float_text(values) == [repr(v) for v in values.tolist()]
+
+
+# Cells that repr writes itself, not the kernel: zero, +-tiny, the exponent forms (one
+# longer than a slot with its separator), and texts under 15 digits.
+FALLBACK_CELLS = [0.0, -0.0, 5e-324, -2.5e-7, 9.5e-05, 1e3, -1.5e300, 1e22,
+                  -2.2250738585072014e-308, 0.5, -2.0, 0.1, 123.25]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from("ftb"), min_size=1, max_size=7).filter(
+           lambda kinds: set(kinds) != {"t"}),
+       st.lists(decade_floats | finite_cells, min_size=1, max_size=8),
+       st.sampled_from([(0, 1), (0, 7), (1, -1), (1, 0), (1, 1), (2, 3)]),
+       st.integers(0, 2**32 - 1))
+@example(list("tffb"), [0.25], (1, 1), 0)  # floats side by side, between a text and flags
+@example(list("btff"), [0.25], (2, 3), 0)  # floats last: a newline ends their pattern
+@example(list("f"), [0.25], (1, 1), 0)  # one float column: 4096 rows a pass
+def test_block_passes_match_percent_format(kinds, pool, rows, seed):
+    # Columns of floats ("f"), texts ("t") and flags ("b"), at least one an array, on
+    # both sides of a pass boundary and past the second.  Each float column draws from
+    # the pool after a turn of the fallbacks; texts alternate indexed and constant.
+    width, k = len(kinds), kinds.count("f")
+    n_rows = max(rows[0] * min(_VALUES // max(k, 1), _CELLS // width) + rows[1], 1)
+    rng = np.random.default_rng(seed)
+    values = np.array(pool + FALLBACK_CELLS)
+    columns, cells = [], []
+    for j, kind in enumerate(kinds):
+        if kind == "f":
+            columns.append(values[rng.integers(len(values), size=n_rows)])
+            columns[-1][:len(FALLBACK_CELLS)] = np.roll(FALLBACK_CELLS, j)[:n_rows]
+        elif kind == "b":
+            columns.append(rng.random(n_rows) < 0.5)
+        else:
+            end = b"\n" if j == width - 1 else b","
+            index = rng.integers(len(values), size=n_rows) if j % 2 else j % len(values)
+            columns.append((Texts([b"%r%s" % (v, end) for v in values.tolist()]), index))
+        column = values[np.broadcast_to(columns[-1][1], n_rows)] if kind == "t" else columns[-1]
+        cells.append([(b"%d" if kind == "b" else b"%r") % v for v in column.tolist()])
+    text = b"".join(bytes(text) for text in format_block(columns))
+    assert text == b"".join(b",".join(row) + b"\n" for row in zip(*cells))
+
+
+# Grids of up to three blocks, their ends anywhere, a tiny step or a step that underflows
+# to 0 (np.linspace then divides before it multiplies), cut into blocks of any size.
+grid_ends = (st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+             | st.floats(-4.0, 4.0).map(lambda v: (v, math.nextafter(v, 5.0)))
+             | st.sampled_from([(0.0, 5e-324), (0.0, 2e-323), (-5e-324, 5e-324), (1e-310, 0.0)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_ends, st.integers(2, 3 * _BLOCK_ROWS), st.sampled_from([_BLOCK_ROWS, 1, 3, 1000]))
+def test_linspace_rows_are_the_grid_a_block_at_a_time(ends, num, rows):
+    blocks = [_linspace_rows(*ends, num, first, first + rows) for first in range(0, num, rows)]
+    assert [len(block) for block in blocks] == [min(rows, num - first)
+                                                for first in range(0, num, rows)]
+    assert np.concatenate(blocks).tobytes() == np.linspace(*ends, num).tobytes()
 
 
 def scan_rows(args):
