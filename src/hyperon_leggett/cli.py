@@ -13,7 +13,6 @@ with failed identities (``check``), 2 usage or runtime error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -122,8 +121,10 @@ def _emit_csv(out: str | None, metadata: Mapping[str, Any], header: Sequence[str
     """Write a scan as CSV, one floattext.format_block per block of rows, so the whole text
     is never held.  The bytes go to stdout's binary buffer (after its pending text), or,
     for a text stream without one, as text.  The first block is drawn before the output
-    is opened, so a scan refused while computing writes nothing."""
-    blocks = itertools.chain([next(blocks)], blocks)
+    is opened, so a scan refused while computing writes nothing.  A block is released
+    before the next is drawn, so a scan holds one block at a time if ``blocks`` keeps
+    none that it has yielded, as a generator expression does."""
+    block = next(blocks)
     head = "".join(f"# {key} {value}\n" for key, value in metadata.items())
     with open(out, "wb") if out else nullcontext(sys.stdout) as fh:
         if out:
@@ -133,9 +134,11 @@ def _emit_csv(out: str | None, metadata: Mapping[str, Any], header: Sequence[str
             write = (fh.buffer.write if hasattr(fh, "buffer")
                      else lambda data: fh.write(str(data, "utf-8")))
         write(f"{head}{','.join(header)}\n".encode("utf-8"))
-        for block in blocks:
+        while block is not None:
             for text in format_block(block):
                 write(text)
+            del block  # so that no two blocks are held at once
+            block = next(blocks, None)
 
 
 def cmd_predict(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -184,18 +187,18 @@ def cmd_scan_phi(args: argparse.Namespace, argv: Sequence[str]) -> int:
     resolved = _resolve_channel(args)
     low, high = math.radians(args.phi_min_deg), math.radians(args.phi_max_deg)
 
-    def blocks() -> Iterator[tuple[np.ndarray, ...]]:
+    def columns(start: int) -> tuple[np.ndarray, ...]:
         # Row-wise, so a block at a time gives the same bits as the whole grid.
-        for start in range(0, args.steps, _BLOCK_ROWS):
-            block = _linspace_rows(low, high, args.steps, start, start + _BLOCK_ROWS)
-            e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa,
-                                            resolved.pb, *settings_arrays(block))
-            lhs = leggett_sum_value(e + e_prime, resolved.pb.alpha, block)
-            yield np.degrees(block), block, lhs, bound, lhs - 2.0, lhs > 2.0
+        block = _linspace_rows(low, high, args.steps, start, start + _BLOCK_ROWS)
+        e, e_prime = _closed_form_pairs(resolved.channel.spin_state, resolved.pa,
+                                        resolved.pb, *settings_arrays(block))
+        lhs = leggett_sum_value(e + e_prime, resolved.pb.alpha, block)
+        return np.degrees(block), block, lhs, bound, lhs - 2.0, lhs > 2.0
 
     bound = (Texts([b"%r," % 2.0]), 0)
     _emit_csv(args.out, _metadata(argv, resolved.provenance()),
-              ("phi_deg", "phi_rad", "lhs", "bound", "margin", "violated"), blocks())
+              ("phi_deg", "phi_rad", "lhs", "bound", "margin", "violated"),
+              (columns(start) for start in range(0, args.steps, _BLOCK_ROWS)))
     return 0
 
 
@@ -208,20 +211,20 @@ def cmd_scan_region(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if np.any(grid[1:] <= grid[:-1]):  # rows sorted by (alpha_a, alpha_b) need distinct values
         raise ValueError("--alpha-min and --alpha-max are too close for --steps distinct values")
     grid_text = Texts([b"%r," % v for v in grid.tolist()])
+    rows = args.steps ** 2
 
-    def blocks() -> Iterator[tuple[np.ndarray, ...]]:
+    def columns(start: int) -> tuple[Any, ...]:
         # Row k is the cell (alpha_a, alpha_b) = grid[divmod(k, steps)]: alpha_a slow.
-        rows = args.steps ** 2
-        for start in range(0, rows, _BLOCK_ROWS):
-            i, j = np.divmod(np.arange(start, min(start + _BLOCK_ROWS, rows)), args.steps)
-            lhs = leggett_max_lhs(grid[i], grid[j])
-            yield (grid_text, i), (grid_text, j), lhs, lhs > 2.0
+        i, j = np.divmod(np.arange(start, min(start + _BLOCK_ROWS, rows)), args.steps)
+        lhs = leggett_max_lhs(grid[i], grid[j])
+        return (grid_text, i), (grid_text, j), lhs, lhs > 2.0
 
     _emit_csv(args.out, _metadata(argv, {
         "bound": 2.0,
         "boundary": "(alpha_a^2 + 1/9) * alpha_b^2 = 1",
         "symmetric_alpha_threshold": symmetric_alpha_threshold(),
-    }), ("alpha_a", "alpha_b", "lhs", "violated"), blocks())
+    }), ("alpha_a", "alpha_b", "lhs", "violated"),
+        (columns(start) for start in range(0, rows, _BLOCK_ROWS)))
     return 0
 
 

@@ -10,7 +10,7 @@ import pytest
 from hyperon_leggett import DecayMode, Direction, MeasurementParams, mean_polarization
 from hyperon_leggett.povm import _check_outcome
 from hyperon_leggett.eventtext import _Workspace, _format_rows
-from hyperon_leggett.simulation import _flip_about_axes, _generator, _unit_from_uniforms
+from hyperon_leggett.simulation import _flip_rows, _generator, _unit_rows
 
 
 @pytest.fixture
@@ -73,7 +73,9 @@ def serialize_catalog(modes: list[DecayMode]) -> str:
 def _random_unit(n: int, rng: np.random.Generator) -> np.ndarray:
     """n isotropic unit vectors from 2n uniforms of rng: the n cosines, then the n
     azimuths."""
-    return _unit_from_uniforms(rng.random(n), rng.random(n))
+    rows = np.empty((3, n))
+    _unit_rows(rng.random(n), rng.random(n), rows)
+    return rows.T
 
 
 def _sample_about_axes(axes: np.ndarray, alpha: float,
@@ -82,8 +84,10 @@ def _sample_about_axes(axes: np.ndarray, alpha: float,
     uniforms of rng: the isotropic w, then the flips.  After n_A = _random_unit(n, rng)
     this takes the uniforms in pair_blocks' order (cos theta_A, psi_A, cos theta_w,
     psi_w, flip), so it is the whole-array draw that pair_blocks makes block by block."""
-    w = _random_unit(axes.shape[0], rng)
-    return _flip_about_axes(axes, alpha, w, rng.random(axes.shape[0]))
+    n = axes.shape[0]
+    w = _random_unit(n, rng).T
+    _flip_rows(axes.T, np.ones(3), alpha, w, rng.random(n), np.empty((2, n)))
+    return w.T
 
 
 def sample_single_decays(u: Direction, alpha: float, n_events: int, seed: int) -> np.ndarray:

@@ -7,6 +7,7 @@ kernel against repr, and the row order and verdicts of both scans."""
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import string
 import tempfile
@@ -18,7 +19,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hyperon_leggett import (DecayMode, Direction, MeasurementParams, ProductionChannel,
                              build_settings, leggett_sum_lhs, load_events,
                              sample_pair_decay, save_events)
-from hyperon_leggett.catalog import MOTHERS, channel_correlation, parse_catalog
+from hyperon_leggett.catalog import (MOTHERS, channel_correlation, default_catalog_path,
+                                     load_catalog, parse_catalog)
 from hyperon_leggett.cli import _emit_csv, _linspace_rows, main
 from hyperon_leggett.floattext import _CELLS, _VALUES, Texts, format_block
 from hyperon_leggett.correlations import (correlation_singlet, correlation_triplet_m0,
@@ -486,3 +488,52 @@ def test_scan_phi_rows_sorted_and_verdict_is_lhs_above_bound(lo, hi, steps, alph
     assert phi_rad == sorted(phi_rad)
     assert all(bound == "2.0" and violated == str(int(float(lhs) > 2.0))
                for _, _, lhs, bound, _, violated in rows)
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# Custom alphas near 0 and near 1, of either sign.
+alpha_edges = st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from(
+    [0.0, 5e-324, 1e-300, 1e-12, 1.0 - 2.0 ** -53, 1.0]) | st.floats(0.0, 1e-3)
+    | st.floats(1.0 - 1e-3, 1.0)).map(lambda signed: signed[0] * signed[1])
+
+
+@st.composite
+def simulate_argv(draw):
+    """simulate arguments: a catalog channel or none, custom alphas (both without a
+    channel), 100 to 2000 events, the extreme seeds and a finite positive threshold;
+    values in the "--option=value" form, which argparse takes for any float text."""
+    channel = draw(st.sampled_from([None, *(mode.hyperon for mode in load_catalog(
+        default_catalog_path()))]))
+    argv = ["simulate", f"--mother={draw(st.sampled_from(sorted(MOTHERS)))}"]
+    if channel:
+        argv.append(f"--channel={channel}")
+    for side in ("a", "b"):
+        if channel is None or draw(st.booleans()):
+            argv.append(f"--alpha-{side}={draw(alpha_edges)!r}")
+    threshold = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return [*argv, f"--events={draw(st.integers(100, 2000))}",
+            f"--seed={draw(st.sampled_from([0, 2 ** 64 - 1]))}",
+            f"--sigma-threshold={threshold!r}"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(simulate_argv())
+def test_simulate_exit_code_is_the_verdict_in_a_strict_json_summary(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, f"--out={out}"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert not out.exists()
+            return
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                             parse_constant=refuse_constant)
+    assert (code == 0) == summary["violation_observed"]
+    if summary["violation_observed"]:
+        assert summary["lhs_hat"] > summary["bound"]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
 import re
 import tracemalloc
 
@@ -22,8 +23,8 @@ from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
 from hyperon_leggett.eventtext import (_READ_BYTES, _ROUND_TOKENS, _Workspace,
                                        _format_rows, _read_rows)
 from hyperon_leggett.floattext import _rounded17
-from hyperon_leggett.simulation import (_BLOCK_ROWS, EventSample, _generator, event_moments,
-                                        leggett_lhs_from_moments, pair_blocks,
+from hyperon_leggett.simulation import (_BLOCK_ROWS, _TEXT_ROWS, EventSample, _generator,
+                                        event_moments, leggett_lhs_from_moments, pair_blocks,
                                         write_pair_events)
 
 from conftest import (_random_unit, _sample_about_axes, format_rows, percent_rows,
@@ -186,11 +187,12 @@ class TestPairDecay:
         n_a = _random_unit(n, rng)
         n_b = _sample_about_axes(n_a * np.diag(spin_correlation_matrix(channel)),
                                  -0.98 * 0.98, rng)
-        blocks = list(pair_blocks(channel, n, seed=29))
-        assert [len(a) for a, _ in blocks] == [min(_BLOCK_ROWS, n - start)
-                                               for start in range(0, n, _BLOCK_ROWS)]
-        assert np.array_equal(np.vstack([a for a, _ in blocks]), n_a)
-        assert np.array_equal(np.vstack([b for _, b in blocks]), n_b)
+        # Each block is overwritten by the next, so each is copied as it is drawn.
+        blocks = [(a.copy(), b.copy()) for a, b in pair_blocks(channel, n, seed=29)]
+        assert [a.shape[1] for a, _ in blocks] == [min(_BLOCK_ROWS, n - start)
+                                                   for start in range(0, n, _BLOCK_ROWS)]
+        assert np.array_equal(np.hstack([a for a, _ in blocks]).T, n_a)
+        assert np.array_equal(np.hstack([b for _, b in blocks]).T, n_b)
 
 
 class TestEventMoments:
@@ -212,7 +214,7 @@ class TestEventMoments:
         sample = sample_pair_decay(SIGMA_LIKE, n, seed=61)
         cuts = [0, 3, 10, n]
         count, mean, scatter = event_moments(
-            (sample.n_a[i:j], sample.n_b[i:j]) for i, j in zip(cuts, cuts[1:]))
+            (sample.n_a[i:j].T, sample.n_b[i:j].T) for i, j in zip(cuts, cuts[1:]))
         reference = event_moments(sample)
         assert count == n
         assert np.max(np.abs(mean - reference[1])) <= 1e-12 * np.max(np.abs(mean))
@@ -448,7 +450,7 @@ class TestEventText:
 
     def test_one_block_peaks_within_twice_its_text(self):
         # Every array of a block's size lives in the workspace, allocated before.
-        rows = np.hstack(next(pair_blocks(SIGMA_LIKE, _BLOCK_ROWS, seed=59)))
+        rows = np.vstack(next(pair_blocks(SIGMA_LIKE, _BLOCK_ROWS, seed=59))).T.copy()
         work = _Workspace(_BLOCK_ROWS)
         tracemalloc.start()
         try:
@@ -462,7 +464,7 @@ class TestEventText:
     def test_kernel_allocates_no_array(self):
         # Each step of the shared decade and N_17 kernel writes a row of its scratch in
         # one dtype; a mixed-dtype ufunc would allocate a cast buffer of up to 64 KiB.
-        a = np.abs(np.hstack(next(pair_blocks(SIGMA_LIKE, 1366, seed=61))).ravel()[:8192])
+        a = np.abs(np.vstack(next(pair_blocks(SIGMA_LIKE, 1366, seed=61))).T.ravel()[:8192])
         scratch = np.empty((7, a.size))
         _rounded17(a, scratch)  # builds the tables
         tracemalloc.start()
@@ -580,6 +582,31 @@ class TestEventFile:
         assert hashlib.sha256(fh.getvalue()).hexdigest() == text_sha256
         assert hashlib.sha256(moments.encode()).hexdigest() == moments_sha256
 
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS + _TEXT_ROWS + 1, _BLOCK_ROWS + 1])
+    def test_text_halves_of_a_short_last_block(self, n):
+        # The last block's rows end one past a text half, or are one row of one half.
+        fh = io.BytesIO()
+        write_pair_events(fh, SIGMA_LIKE, n, 62, "-")
+        sample = sample_pair_decay(SIGMA_LIKE, n, seed=62)
+        body = fh.getvalue().split(b"columns nax nay naz nbx nby nbz\n")[1]
+        assert body == format_rows(np.hstack([sample.n_a, sample.n_b]))
+
+    def test_stream_memory_is_flat_in_blocks(self):
+        # After its first block the pass allocates no array: the rows, the text and
+        # the moments each have one workspace for the whole stream.
+        write_pair_events(io.BytesIO(), SIGMA_LIKE, 300, 63, "-")  # builds the tables
+        peaks = []
+        for blocks in (2, 20):
+            with open(os.devnull, "wb") as fh:
+                tracemalloc.start()
+                try:
+                    write_pair_events(fh, SIGMA_LIKE, blocks * _BLOCK_ROWS, 63, "-")
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 4096
+        assert peaks[1] <= 3.0e6
+
     def test_save_memory_does_not_grow_with_events(self, tmp_path):
         peaks = []
         for blocks in (2, 16):
@@ -590,7 +617,7 @@ class TestEventFile:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # 16 blocks of text are 8 MB; one block's workspace is about 3 MB.
+        # 16 blocks of text are 8 MB; the stream's text workspace is about 1.4 MB.
         assert peaks[1] <= 1.1 * peaks[0]
 
     def test_unknown_format_rejected(self, tmp_path):
