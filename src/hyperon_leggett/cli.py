@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -411,8 +412,18 @@ def cmd_check(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return 0 if not failed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, that takes a negative number
+    in exponent form (-1e-05, as repr writes -0.00001) for a value, not an option:
+    argparse's own test in Python 3.10 to 3.12 knows only forms like -1 and -.5."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?\Z")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=TOOL,
         description="Nonlocal-realism and local-realism bound tests for entangled "
                     "hyperon pairs measured through their weak decays.")

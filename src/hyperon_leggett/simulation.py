@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping
@@ -324,10 +325,52 @@ def estimate_leggett_lhs(sample: EventSample, settings: TripleSettings) -> Legge
     b_i + b'_i gives their means and covariance.  Errors propagate by the delta method
     through the absolute values; when any pair sum sits within two standard errors of
     zero (where the delta method degenerates) a seeded parametric bootstrap draws 200
-    replicas of the means from the normal law with that covariance instead.
+    replicas of the means from the normal law with that covariance instead, through a
+    closed-form L D L^T factor and the stdlib's normal stream keyed off the seed
+    (_bootstrap_replicas), so it loads neither numpy.random nor OpenSSL and calls no
+    LAPACK.
     """
     return leggett_lhs_from_moments(event_moments(sample), settings, sample.seed,
                                     sample.alpha_b, sample.spin_state)
+
+
+def _ldl(cov: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Unit lower-triangular L and pivots d with L diag(d) L^T = cov for a symmetric
+    positive semi-definite 3x3 ``cov``, in closed form.  A pivot at or below zero (a
+    singular cov, or rounding) is clamped to zero and its column of L below the
+    diagonal to zero, so a singular or all-zero cov gives a factor, never NaN."""
+    lower = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    pivots = [0.0, 0.0, 0.0]
+    for j in range(3):
+        pivot = cov[j][j]
+        for k in range(j):
+            pivot -= lower[j][k] * lower[j][k] * pivots[k]
+        if pivot <= 0.0:
+            continue
+        pivots[j] = pivot
+        for i in range(j + 1, 3):
+            entry = cov[i][j]
+            for k in range(j):
+                entry -= lower[i][k] * lower[j][k] * pivots[k]
+            lower[i][j] = entry / pivot
+    return np.array(lower), np.array(pivots)
+
+
+def _bootstrap_replicas(means: np.ndarray, cov: np.ndarray, seed: int) -> np.ndarray:
+    """_BOOTSTRAP_REPLICAS draws, one row each, from the normal law of the 3 ``means``
+    with covariance ``cov``: means + L sqrt(d) z, with L diag(d) L^T = cov from _ldl and
+    z three at a time from the stdlib stream random.Random(seed ^ 0x626F6F74), whose
+    normalvariate is Kinderman & Monahan's ratio of uniforms.  Keyed off the sample
+    seed, so reruns match exactly; only elementwise IEEE arithmetic, so no BLAS or
+    LAPACK kernel moves the bits."""
+    lower, pivots = _ldl(cov.tolist())
+    normal = random.Random(seed ^ 0x626F6F74).normalvariate
+    z = np.array([normal(0.0, 1.0) for _ in range(3 * _BOOTSTRAP_REPLICAS)]).reshape(-1, 3)
+    z *= np.sqrt(pivots)
+    replicas = means + z[:, :1] * lower[:, 0]
+    for j in (1, 2):
+        replicas += z[:, j:j + 1] * lower[:, j]
+    return replicas
 
 
 def leggett_lhs_from_moments(moments: Moments, settings: TripleSettings, seed: int,
@@ -347,11 +390,8 @@ def leggett_lhs_from_moments(moments: Moments, settings: TripleSettings, seed: i
         std_error = float(math.sqrt(grad @ cov @ grad))
         method = "delta"
     else:
-        # Keyed off the sample seed so reruns match exactly; "eigh" also takes a
-        # singular covariance, such as the zero one when every b_i + b'_i vanishes.
-        rng = _generator(seed ^ 0x626F6F74)
-        replica_means = rng.multivariate_normal(means, cov, _BOOTSTRAP_REPLICAS, method="eigh")
-        replicas = leggett_sum_value(replica_means, alpha_b, settings.phi)
+        replicas = leggett_sum_value(_bootstrap_replicas(means, cov, seed), alpha_b,
+                                     settings.phi)
         std_error = float(replicas.std(ddof=1))
         method = "bootstrap"
 

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
+import shlex
 import sys
 import time
 import tracemalloc
@@ -161,6 +163,66 @@ class TestPredict:
                   "--settings-file", str(path)])
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+
+def subparsers(parser):
+    """The command parsers of build_parser(), by command name."""
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# Every float option, with what its command needs besides it.
+FLOAT_OPTIONS = [(command, action.option_strings[0])
+                 for command, sub in subparsers(cli.build_parser()).items()
+                 for action in sub._actions if action.type is float]
+REQUIRED = {"simulate": ["--events", "100"]}
+
+
+class TestNegativeExponentValues:
+    """A negative number in exponent form, as repr writes it, is a value as a separate
+    token, as it is after "=" (argparse's own test in Python 3.10 to 3.12 takes it for
+    an option)."""
+
+    def test_every_float_option_is_covered(self):
+        assert ("predict", "--alpha-a") in FLOAT_OPTIONS
+        assert ("simulate", "--sigma-threshold") in FLOAT_OPTIONS
+        assert ("scan-region", "--alpha-min") in FLOAT_OPTIONS
+        assert len(FLOAT_OPTIONS) == 19
+
+    @pytest.mark.parametrize("command, option", FLOAT_OPTIONS,
+                             ids=[" ".join(pair) for pair in FLOAT_OPTIONS])
+    @pytest.mark.parametrize("text", ["-1e-05", "-2.5E+300", "-.5e3", "-7e0"])
+    def test_float_option_reads_a_separate_negative_exponent(self, command, option, text):
+        args = cli.build_parser().parse_args([command, *REQUIRED.get(command, []),
+                                              option, text])
+        assert getattr(args, option[2:].replace("-", "_")) == float(text)
+
+    def test_echoed_command_reproduces_the_run(self, capsys):
+        argv = ["predict", "--alpha-a", "-1e-05", "--alpha-b", "0.9", "--eta-b", "-1e-03"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["alpha_a"], payload["eta_b"]) == (-1e-05, -1e-03)
+        tool, *echoed = shlex.split(payload["command"])
+        assert tool == cli.TOOL and echoed == argv
+        assert run(echoed, capsys) == (0, out, "")
+
+    def test_help_and_usage_errors_are_argparse_own(self, monkeypatch, capsys):
+        def outputs():
+            parser = cli.build_parser()
+            texts = [parser.format_help(), *(sub.format_help()
+                                             for sub in subparsers(parser).values())]
+            for argv in (["predict", "--alpha-a"], ["predict", "--alpha-a", "-inf"],
+                         ["predict", "--alpha-a", "x"], ["predict", "--nope", "-1"],
+                         ["scan-phi", "--steps", "-1.5"], ["simulate"]):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(argv)
+                texts += [exc.value.code, capsys.readouterr().err]
+            return texts
+
+        ours = outputs()
+        monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+        assert ours == outputs()
 
 
 class TestScanPhi:

@@ -1,7 +1,9 @@
 """Which modules a command loads: the package resolves its exports and submodules on
 first access, the scans, which never sample, load neither the event modules nor
 OpenSSL (hashlib's _hashlib, or numpy.random, which maps it through secrets and hmac),
-and simulate loads the float-text kernel its writer runs but builds no reader table."""
+simulate loads the float-text kernel its writer runs but builds no reader table, and
+a re-analysis of recorded events, bootstrap included, loads neither numpy.random nor
+OpenSSL."""
 
 import json
 import os
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 import hyperon_leggett
+from hyperon_leggett import DecayMode, ProductionChannel, sample_pair_decay, save_events
 
 SRC = str(Path(hyperon_leggett.__file__).resolve().parents[1])
 # The event modules and the two ways to OpenSSL: a scan needs none of them.
@@ -61,6 +64,24 @@ print(json.dumps({{"code": code, "reader_tables": eventtext._reader_tables.cache
         "hyperon_leggett.eventtext", "hyperon_leggett.floattext", "hyperon_leggett.geometry",
         "hyperon_leggett.inequalities", "hyperon_leggett.povm", "hyperon_leggett.quantum",
         "hyperon_leggett.simulation"]}
+
+
+def test_reanalysis_on_the_bootstrap_path_loads_neither_numpy_random_nor_openssl(tmp_path):
+    # alpha_b = 0 makes every pair sum vanish, so the estimate takes the bootstrap.
+    events = str(tmp_path / "events.txt")
+    channel = ProductionChannel("eta_c", DecayMode("A", "x_y", 0.9, 0.0),
+                                DecayMode("B", "x_y", 0.0, 0.0))
+    save_events(events, sample_pair_decay(channel, 5000, 43))
+    result = fresh(f"""
+import json, sys
+import numpy
+numpy_own = set(sys.modules)  # numpy 1.x itself imports numpy.random
+from hyperon_leggett import build_settings, estimate_leggett_lhs, load_events
+estimate = estimate_leggett_lhs(load_events({events!r}), build_settings(1.0))
+loaded = {{"numpy.random", "_hashlib", "hmac"}} & (set(sys.modules) - numpy_own)
+print(json.dumps({{"method": estimate.method, "loaded": sorted(loaded)}}))
+""")
+    assert result == {"method": "bootstrap", "loaded": []}
 
 
 def test_package_loads_its_modules_on_first_access():

@@ -2,7 +2,8 @@
 closed forms against the 4x4 matrix path, the invariances of the settings layout,
 exact text round trips of the catalog and of event files, the event-text digit
 reader against int(), the scan CSV against per-row ``%r`` formatting and its float
-kernel against repr, and the row order and verdicts of both scans."""
+kernel against repr, the row order and verdicts of both scans, and the exit codes
+and strict JSON of simulate and of predict on hostile values."""
 
 import contextlib
 import dataclasses
@@ -537,3 +538,42 @@ def test_simulate_exit_code_is_the_verdict_in_a_strict_json_summary(argv):
     assert (code == 0) == summary["violation_observed"]
     if summary["violation_observed"]:
         assert summary["lhs_hat"] > summary["bound"]
+
+
+# Hostile float values: signed zeros, 1 and its neighbours, the extremes, the
+# non-finite ones, and negative numbers in exponent form.
+hostile_floats = st.sampled_from([
+    0.0, -0.0, 1.0, -1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53),
+    5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan, -1e-05, -2.5e-300,
+    0.5, -0.5, 90.0, 180.0])
+
+
+@st.composite
+def predict_argv(draw):
+    """predict arguments: a catalog channel or custom alphas (both without a channel),
+    and hostile values, each a separate token as repr writes it, for the alphas, the
+    biases and the angle."""
+    channel = draw(st.booleans())
+    argv = ["predict", "--channel", "SigmaPlus"] if channel else ["predict"]
+    for option in ("--alpha-a", "--alpha-b", "--eta-a", "--eta-b", "--phi-deg"):
+        if (not channel and option.startswith("--alpha")) or draw(st.booleans()):
+            argv += [option, repr(draw(hostile_floats))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(predict_argv())
+def test_predict_exits_0_with_strict_json_or_2_with_an_error(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error: -inf reads as an option
+            assert "-inf" in argv
+            code = exc.code
+    assert code in (0, 2)
+    if code == 2:
+        assert "error:" in err.getvalue()
+        return
+    payload = json.loads(out.getvalue(), parse_constant=refuse_constant)
+    assert payload["max_violated"] == (payload["max_lhs"] > 2.0)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import random
 import re
 import tracemalloc
 
@@ -23,8 +24,9 @@ from hyperon_leggett.geometry import DEFAULT_AXES, DEFAULT_FRAME, TripleSettings
 from hyperon_leggett.eventtext import (_READ_BYTES, _ROUND_TOKENS, _Workspace,
                                        _format_rows, _read_rows)
 from hyperon_leggett.floattext import _rounded17
-from hyperon_leggett.simulation import (_BLOCK_ROWS, _TEXT_ROWS, EventSample, _generator,
-                                        event_moments, leggett_lhs_from_moments, pair_blocks,
+from hyperon_leggett.simulation import (_BLOCK_ROWS, _TEXT_ROWS, EventSample,
+                                        _bootstrap_replicas, _generator, _ldl, event_moments,
+                                        leggett_lhs_from_moments, pair_blocks,
                                         write_pair_events)
 
 from conftest import (_random_unit, _sample_about_axes, format_rows, percent_rows,
@@ -294,17 +296,51 @@ class TestEstimateLeggett:
         settings = build_settings(1.0)
         est = estimate_leggett_lhs(sample, settings)
         # Reference: parametric replicas from the per-event pair sums' means and
-        # covariance, drawn from the same Philox key.
+        # covariance, its factor by Cholesky, and the same stdlib normals.
         per_event = np.column_stack([
             9.0 * (sample.n_a @ a) * (sample.n_b @ (b + bp))
             for a, b, bp in zip(settings.a, settings.b, settings.b_prime)])
-        rng = _generator(43 ^ 0x626F6F74)
-        replicas = rng.multivariate_normal(per_event.mean(axis=0),
-                                           np.cov(per_event, rowvar=False) / 5_000, 200,
-                                           method="eigh")
+        factor = np.linalg.cholesky(np.cov(per_event, rowvar=False) / 5_000)
+        normal = random.Random(43 ^ 0x626F6F74).normalvariate
+        z = np.array([[normal(0.0, 1.0) for _ in range(3)] for _ in range(200)])
+        replicas = per_event.mean(axis=0) + z @ factor.T
         spread = float(np.std(np.sum(np.abs(replicas), axis=1) / 3.0, ddof=1))
         assert est.method == "bootstrap"
         assert est.std_error == pytest.approx(spread, rel=1e-12)
+
+    def test_bootstrap_normals_are_pinned(self):
+        # The first six normals of the key of seed 43, on every supported Python: the
+        # stdlib's Mersenne Twister seeding from an int, random() and normalvariate.
+        replicas = _bootstrap_replicas(np.zeros(3), np.eye(3), 43)
+        assert replicas.shape == (200, 3)
+        assert replicas[:2].tolist() == [
+            [1.507774085523438, -1.9192485278521045, 1.560089625633368],
+            [-0.11369823357422107, -1.7496931698727647, 0.6220303519705717]]
+
+    @pytest.mark.parametrize("rank", [3, 2, 1, 0])
+    def test_ldl_reproduces_covariances_of_every_rank(self, rng, rank):
+        scale = rng.normal(size=(3, rank))
+        cov = scale @ scale.T
+        lower, pivots = _ldl(cov.tolist())
+        assert not np.isnan(lower).any() and not np.isnan(pivots).any()
+        assert np.all(pivots >= 0.0)
+        assert np.array_equal(np.triu(lower), np.eye(3))
+        assert np.allclose(lower @ np.diag(pivots) @ lower.T, cov, rtol=0.0,
+                           atol=8 * np.finfo(float).eps * np.max(np.abs(cov), initial=0.0))
+        # A zero covariance gives the means themselves.
+        replicas = _bootstrap_replicas(np.array([0.5, -0.25, 0.0]), cov, 7)
+        if rank == 0:
+            assert np.all(replicas == [0.5, -0.25, 0.0])
+        assert np.isfinite(replicas).all()
+
+    def test_bootstrap_calls_no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bootstrap called np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        sample = sample_pair_decay(_channel(alpha_a=0.9, alpha_b=0.0), 5_000, seed=43)
+        est = estimate_leggett_lhs(sample, build_settings(1.0))
+        assert est.method == "bootstrap" and est.std_error > 0.0
 
     def test_bootstrap_is_reproducible(self):
         sample = sample_pair_decay(_channel(alpha_a=0.9, alpha_b=0.0), 5_000, seed=43)
