@@ -21,8 +21,7 @@ _EXPORTS = {
     "geometry": ("TripleSettings", "build_settings", "flip_b_prime", "load_settings",
                  "save_settings", "validate_settings"),
     "correlations": ("OUTCOMES", "correlation_singlet", "correlation_triplet_m0",
-                     "correlation_via_operators", "joint_prob_matrix", "joint_prob_singlet",
-                     "parity_flip_z"),
+                     "correlation_via_operators", "joint_prob_matrix", "joint_prob_singlet"),
     "inequalities": ("InequalityReport", "ch_povm_lhs", "chsh_povm", "leggett_diff_lhs",
                      "leggett_max_lhs", "leggett_sum_curve", "leggett_sum_lhs",
                      "leggett_violation_condition", "optimal_phi", "symmetric_alpha_threshold"),

@@ -28,17 +28,15 @@ from . import __version__
 from .catalog import (CATALOG_ENV_VAR, MOTHERS, DecayMode, ProductionChannel,
                       catalog_sha256, default_catalog_path, load_catalog,
                       make_pair_channel)
-from .correlations import (PAIR_STATES, correlation_singlet, correlation_triplet_m0,
-                           correlation_via_operators, joint_prob_matrix,
-                           joint_prob_singlet, pair_correlation, pair_density_matrix,
-                           spin_correlation_diagonal)
+from .correlations import (PAIR_STATES, a_side_inversion, correlation_via_operators,
+                           joint_prob_matrix, joint_prob_singlet, pair_correlation,
+                           pair_density_matrix, spin_correlation_diagonal)
 from .floattext import Texts, format_block
 from .geometry import build_settings, load_settings, settings_arrays
 from .inequalities import (leggett_max_lhs, leggett_sum_curve, leggett_sum_lhs,
                            leggett_sum_value, optimal_phi, symmetric_alpha_threshold)
 from .povm import MeasurementParams
-from .quantum import (_BLOCK_ROWS, PAULI, expectation, row_dot, singlet_state, tensor,
-                      triplet_m0_state)
+from .quantum import _BLOCK_ROWS, PAULI, expectation, row_dot, singlet_state, tensor
 
 TOOL = "hyperon-leggett"
 
@@ -311,18 +309,14 @@ def _oracle_residuals(rng: np.random.Generator, trials: int,
     alpha = draws[:, [1, 3]] * (1.0 - np.abs(eta))
     pa, pb = (MeasurementParams(eta[:, side], alpha[:, side]) for side in (0, 1))
     a, b = (v / np.sqrt(row_dot(v, v))[:, None] for v in (draws[:, 4:7], draws[:, 7:]))
-    ua, ub = MeasurementParams.unsharp(pa.alpha), MeasurementParams.unsharp(pb.alpha)
-    singlet = singlet_state()
     sign = -1.0 if negative_control else 1.0
-    residuals = {
-        "singlet joint table: closed form vs matrix path":
-            joint_prob_singlet(pa, a, pb, b) - joint_prob_matrix(singlet, pa, a, pb, b),
-        "singlet correlation: closed form vs operator average":
-            sign * correlation_singlet(pa, a, pb, b)
-            - correlation_via_operators(singlet, pa, a, pb, b),
-        "triplet correlation: closed form vs operator average":
-            correlation_triplet_m0(ua, a, ub, b)
-            - correlation_via_operators(triplet_m0_state(), ua, a, ub, b)}
+    residuals = {"singlet joint table: closed form vs matrix path":
+                 joint_prob_singlet(pa, a, pb, b)
+                 - joint_prob_matrix(singlet_state(), pa, a, pb, b)}
+    for state in PAIR_STATES:
+        residuals[f"{state} correlation: closed form vs operator average"] = (
+            sign * pair_correlation(state, pa, a_side_inversion(state) * a, pb, b)
+            - correlation_via_operators(pair_density_matrix(state), pa, a, pb, b))
     return {name: float(np.max(np.abs(r))) for name, r in residuals.items()}
 
 
@@ -413,13 +407,15 @@ def cmd_check(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, and the class of its subparsers, that takes a negative number
-    in exponent form (-1e-05, as repr writes -0.00001) for a value, not an option:
-    argparse's own test in Python 3.10 to 3.12 knows only forms like -1 and -.5."""
+    """An ArgumentParser, and the class of its subparsers, that takes every negative
+    number float() reads for a value, not an option: the exponent form (-1e-05, as repr
+    writes -0.00001) and -inf, -infinity and -nan in any letter case. argparse's own
+    test in Python 3.10 to 3.12 knows only forms like -1 and -.5."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?\Z")
+        self._negative_number_matcher = re.compile(
+            r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)\Z", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .povm import MeasurementParams, povm_element
-from .quantum import (ATOL, Direction, TwoQubitState, _all, _float_or_array, expectation,
-                      row_dot, singlet_state, tensor, triplet_m0_state)
+from .quantum import (ATOL, TwoQubitState, _float_or_array, expectation, row_dot,
+                      singlet_state, tensor, triplet_m0_state)
 
 # Each pair state: its density matrix and the diagonal of its spin-correlation
 # matrix C_ij = <sigma_i (x) sigma_j>, which is diagonal for both states.
@@ -90,22 +90,17 @@ def joint_prob_singlet(pa: MeasurementParams, a, pb: MeasurementParams, b) -> np
 
 
 def pair_correlation(spin_state: str, pa: MeasurementParams, a, pb: MeasurementParams, b):
-    """Closed-form pair-state correlation C_xx*alpha_a*alpha_b*(a.b) at Directions or
-    (..., 3) arrays a, b, with a already inverted by a_side_inversion; a float for
-    single directions and params, else an array over their broadcast shape.
+    """Closed-form pair-state correlation eta_a*eta_b + C_xx*alpha_a*alpha_b*(a.b) at
+    Directions or (..., 3) arrays a, b, with a already inverted by a_side_inversion; a
+    float for single directions and params, else an array over their broadcast shape.
 
-    singlet: eta_a*eta_b - alpha_a*alpha_b*(a.b).  triplet_m0 (unbiased only):
-    +alpha_a*alpha_b*(a.b), i.e. alpha_a*alpha_b*(a_x b_x + a_y b_y - a_z b_z)
-    at the raw A direction: the same magnitude, so every bound is identical;
-    the relative sign is exposed as is.
+    Neither pair state has a one-body polarization, so the bias enters only as
+    eta_a*eta_b, and C_xx is -1 for the singlet and +1 for triplet_m0: the same
+    magnitude at the raw A direction, so every unbiased bound is identical; the
+    relative sign is exposed as is.
     """
     c_xx = spin_correlation_diagonal(spin_state)[0]
-    a_dot_b = row_dot(a, b)
-    if spin_state == "singlet":
-        return _float_or_array(pa.eta * pb.eta + c_xx * pa.alpha * pb.alpha * a_dot_b)
-    if not _all((pa.eta == 0.0) & (pb.eta == 0.0)):
-        raise ValueError("triplet correlation is defined for unbiased measurements only")
-    return _float_or_array(c_xx * pa.alpha * pb.alpha * a_dot_b)
+    return _float_or_array(pa.eta * pb.eta + c_xx * pa.alpha * pb.alpha * row_dot(a, b))
 
 
 def correlation_singlet(pa: MeasurementParams, a, pb: MeasurementParams, b):
@@ -114,11 +109,6 @@ def correlation_singlet(pa: MeasurementParams, a, pb: MeasurementParams, b):
 
 
 def correlation_triplet_m0(pa: MeasurementParams, a, pb: MeasurementParams, b):
-    """Closed-form zero-projection-triplet correlation for unbiased measurements,
-    alpha_a*alpha_b*(a_x b_x + a_y b_y - a_z b_z); see pair_correlation."""
+    """Closed-form zero-projection-triplet correlation
+    eta_a*eta_b + alpha_a*alpha_b*(a_x b_x + a_y b_y - a_z b_z); see pair_correlation."""
     return pair_correlation("triplet_m0", pa, a_side_inversion("triplet_m0") * a, pb, b)
-
-
-def parity_flip_z(d: Direction) -> Direction:
-    """Invert the z component: (x, y, z) -> (x, y, -z).  An involution."""
-    return Direction(d.x, d.y, -d.z)

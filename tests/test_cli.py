@@ -18,10 +18,12 @@ from hyperon_leggett import (cli, estimate_leggett_lhs, floattext, geometry, loa
 from hyperon_leggett.catalog import (catalog_sha256, default_catalog_path, load_catalog,
                                      make_pair_channel)
 from hyperon_leggett.cli import _oracle_residuals, _run_checks, main
-from hyperon_leggett.correlations import pair_correlation
+from hyperon_leggett.correlations import (a_side_inversion, correlation_via_operators,
+                                          pair_correlation)
 from hyperon_leggett.inequalities import (leggett_max_lhs, leggett_sum_value,
                                           leggett_violation_condition)
 from hyperon_leggett.povm import MeasurementParams
+from hyperon_leggett.quantum import triplet_m0_state
 from hyperon_leggett.simulation import _BLOCK_ROWS
 
 
@@ -142,11 +144,18 @@ class TestPredict:
         assert out == ""
         assert f"{path}:1: X: alpha uncertainty must be finite and >= 0" in err
 
-    def test_triplet_with_bias_rejected(self, capsys):
-        code, _, err = run(["predict", "--channel", "SigmaPlus", "--mother", "chi_c0",
-                            "--alpha-a", "0.5", "--eta-a", "0.1"], capsys)
-        assert code == 2
-        assert "unbiased" in err
+    def test_biased_triplet_matches_operator_path(self, capsys):
+        code, out, err = run(["predict", "--mother", "chi_c0", "--alpha-a", "0.5",
+                              "--alpha-b", "-0.7", "--eta-a", "0.1", "--eta-b", "-0.2"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        settings = geometry.build_settings(payload["phi_rad"])
+        pa, pb = MeasurementParams(0.1, 0.5), MeasurementParams(-0.2, -0.7)
+        a = a_side_inversion("triplet_m0") * settings.a  # the settings' a is taken as inverted
+        expected = [correlation_via_operators(triplet_m0_state(), pa, a, pb, b)
+                    for b in (settings.b, settings.b_prime)]
+        assert np.max(np.abs(np.array(payload["report"]["inputs"]["e_pairs"])
+                             - np.transpose(expected))) < 1e-12
 
     def test_non_finite_eta_rejected(self, capsys):
         code, out, err = run(["predict", "--channel", "SigmaPlus", "--eta-a", "nan"], capsys)
@@ -179,9 +188,10 @@ REQUIRED = {"simulate": ["--events", "100"]}
 
 
 class TestNegativeExponentValues:
-    """A negative number in exponent form, as repr writes it, is a value as a separate
-    token, as it is after "=" (argparse's own test in Python 3.10 to 3.12 takes it for
-    an option)."""
+    """A negative number in exponent form, as repr writes it, and -inf, -infinity and
+    -nan in any letter case, as float() reads them, are values as a separate token, as
+    they are after "=" (argparse's own test in Python 3.10 to 3.12 takes them for
+    options)."""
 
     def test_every_float_option_is_covered(self):
         assert ("predict", "--alpha-a") in FLOAT_OPTIONS
@@ -191,11 +201,20 @@ class TestNegativeExponentValues:
 
     @pytest.mark.parametrize("command, option", FLOAT_OPTIONS,
                              ids=[" ".join(pair) for pair in FLOAT_OPTIONS])
-    @pytest.mark.parametrize("text", ["-1e-05", "-2.5E+300", "-.5e3", "-7e0"])
+    @pytest.mark.parametrize("text", ["-1e-05", "-2.5E+300", "-.5e3", "-7e0", "-inf",
+                                      "-INF", "-infinity", "-Infinity", "-nan", "-NaN"])
     def test_float_option_reads_a_separate_negative_exponent(self, command, option, text):
         args = cli.build_parser().parse_args([command, *REQUIRED.get(command, []),
                                               option, text])
-        assert getattr(args, option[2:].replace("-", "_")) == float(text)
+        assert repr(getattr(args, option[2:].replace("-", "_"))) == repr(float(text))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["predict", "--alpha-a", "-inf", "--alpha-b", "0.9"],
+         "error: customA: |alpha| must not exceed 1, got -inf"),
+        (["predict", "--channel", "SigmaPlus", "--phi-deg", "-inf"],
+         "error: phi must lie in (0, pi], got -inf")])
+    def test_separate_minus_inf_names_the_range(self, capsys, argv, message):
+        assert run(argv, capsys) == (2, "", message + "\n")
 
     def test_echoed_command_reproduces_the_run(self, capsys):
         argv = ["predict", "--alpha-a", "-1e-05", "--alpha-b", "0.9", "--eta-b", "-1e-03"]
@@ -212,7 +231,7 @@ class TestNegativeExponentValues:
             parser = cli.build_parser()
             texts = [parser.format_help(), *(sub.format_help()
                                              for sub in subparsers(parser).values())]
-            for argv in (["predict", "--alpha-a"], ["predict", "--alpha-a", "-inf"],
+            for argv in (["predict", "--alpha-a"], ["predict", "--alpha-a", "-info"],
                          ["predict", "--alpha-a", "x"], ["predict", "--nope", "-1"],
                          ["scan-phi", "--steps", "-1.5"], ["simulate"]):
                 with pytest.raises(SystemExit) as exc:
@@ -273,13 +292,15 @@ class TestScanPhi:
         assert out == ""
         assert "invalid measurement parameters" in err
 
-    def test_refused_scan_writes_nothing(self, capsys, tmp_path):
-        # The triplet state refuses a biased measurement while the first block is
-        # computed, before any output is opened.
+    def test_refused_scan_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # A refusal while the first block is computed comes before any output is opened.
+        def refuse(*args, **kwargs):
+            raise ValueError("refused in the first block")
+        monkeypatch.setattr(cli, "leggett_sum_value", refuse)
         args = ["scan-phi", "--channel", "Lambda", "--mother", "chi_c0", "--eta-a", "0.1"]
         code, out, err = run(args, capsys)
         assert (code, out) == (2, "")
-        assert "unbiased measurements only" in err
+        assert "error: refused in the first block" in err
         path = tmp_path / "refused.csv"
         code, out, _ = run([*args, "--out", str(path)], capsys)
         assert (code, out) == (2, "")

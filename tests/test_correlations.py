@@ -6,8 +6,7 @@ import pytest
 from hyperon_leggett import (OUTCOMES, MeasurementParams, X_AXIS, Z_AXIS,
                              correlation_singlet, correlation_triplet_m0,
                              correlation_via_operators, joint_prob_matrix,
-                             joint_prob_singlet, parity_flip_z, singlet_state,
-                             triplet_m0_state)
+                             joint_prob_singlet, singlet_state, triplet_m0_state)
 from hyperon_leggett.correlations import (PAIR_STATES, _check_joint_table, a_side_inversion,
                                           pair_correlation, pair_density_matrix,
                                           spin_correlation_diagonal)
@@ -148,9 +147,14 @@ class TestCorrelationValues:
         pa = MeasurementParams.unsharp(0.98)
         assert correlation_triplet_m0(pa, X_AXIS, pa, X_AXIS) == pytest.approx(0.9604, abs=1e-12)
 
-    def test_triplet_rejects_bias(self):
-        with pytest.raises(ValueError):
-            correlation_triplet_m0(MeasurementParams(0.1, 0.5), Z_AXIS, SHARP, Z_AXIS)
+    def test_biased_triplet_matches_operator_path(self, rng):
+        # The bias enters as eta_a*eta_b, as for the singlet: no one-body polarization.
+        state = triplet_m0_state()
+        for _ in range(300):
+            pa, pb = random_params(rng), random_params(rng)
+            a, b = random_direction(rng), random_direction(rng)
+            assert abs(correlation_triplet_m0(pa, a, pb, b)
+                       - correlation_via_operators(state, pa, a, pb, b)) < 1e-12
 
     def test_triplet_with_flipped_a_mirrors_singlet(self, rng):
         # same magnitude, opposite sign: the documented convention check
@@ -159,7 +163,8 @@ class TestCorrelationValues:
             pa = MeasurementParams.unsharp(alpha_a)
             pb = MeasurementParams.unsharp(alpha_b)
             a, b = random_direction(rng), random_direction(rng)
-            triplet = correlation_triplet_m0(pa, parity_flip_z(a), pb, b)
+            triplet = correlation_triplet_m0(pa, a_side_inversion("triplet_m0") * np.asarray(a),
+                                             pb, b)
             single = correlation_singlet(pa, a, pb, b)
             assert abs(abs(triplet) - abs(single)) < 1e-12
             assert triplet == pytest.approx(-single, abs=1e-12)
@@ -194,22 +199,9 @@ class TestPairStateTable:
     def test_inverted_closed_form_matches_operator_path(self, state, rng):
         inversion = a_side_inversion(state)
         for _ in range(100):
-            pa = MeasurementParams.unsharp(rng.uniform(-1, 1))
-            pb = MeasurementParams.unsharp(rng.uniform(-1, 1))
+            pa, pb = random_params(rng), random_params(rng)
             a, b = random_direction(rng), random_direction(rng)
             closed = pair_correlation(state, pa, inversion * np.asarray(a), pb, np.asarray(b))
             matrix = correlation_via_operators(pair_density_matrix(state), pa, a, pb, b)
             assert abs(closed - matrix) < 1e-12
 
-
-class TestParityFlip:
-    def test_examples(self):
-        assert parity_flip_z(Z_AXIS) == Direction(0.0, 0.0, -1.0)
-        assert parity_flip_z(X_AXIS) == X_AXIS
-        d = parity_flip_z(Direction(0.6, 0.0, 0.8))
-        assert (d.x, d.y, d.z) == (0.6, 0.0, -0.8)
-
-    def test_involution(self, rng):
-        for _ in range(20):
-            d = random_direction(rng)
-            assert parity_flip_z(parity_flip_z(d)) == d

@@ -566,14 +566,67 @@ def predict_argv(draw):
 def test_predict_exits_0_with_strict_json_or_2_with_an_error(argv):
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()) as err:
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage error: -inf reads as an option
-            assert "-inf" in argv
-            code = exc.code
+        code = main(argv)  # -inf as its own token is a value, not argparse's usage error
     assert code in (0, 2)
     if code == 2:
         assert "error:" in err.getvalue()
         return
     payload = json.loads(out.getvalue(), parse_constant=refuse_constant)
     assert payload["max_violated"] == (payload["max_lhs"] > 2.0)
+
+
+# Each scan option's values: the hostile ones, 180 and its neighbours, or any in a
+# range that the option mostly takes, so that many scans run to the end.
+scan_values = {option: hostile_floats | st.sampled_from(
+    [math.nextafter(180.0, 0.0), math.nextafter(180.0, math.inf)]) | st.floats(low, high)
+    for option, (low, high) in {"--phi-min-deg": (0.0, 180.0), "--phi-max-deg": (0.0, 180.0),
+                                "--alpha-a": (-1.0, 1.0), "--alpha-b": (-1.0, 1.0),
+                                "--eta-a": (-0.5, 0.5), "--eta-b": (-0.5, 0.5),
+                                "--alpha-min": (0.0, 1.0), "--alpha-max": (0.0, 1.0)}.items()}
+
+
+@st.composite
+def scan_argv(draw):
+    """scan-phi or scan-region arguments: values of scan_values, each a separate token
+    as repr writes it, for the range ends and, for scan-phi, the alphas (both without a
+    channel) and the biases of either mother; 0 to 50 steps for scan-phi and 0 to 44
+    for scan-region, whose rows are its steps squared, so at most 2000 rows."""
+    if draw(st.booleans()):
+        channel = draw(st.booleans())
+        argv = ["scan-phi", "--mother", draw(st.sampled_from(sorted(MOTHERS)))]
+        argv += ["--channel", "SigmaPlus"] if channel else []
+        options = ("--phi-min-deg", "--phi-max-deg", "--alpha-a", "--alpha-b",
+                   "--eta-a", "--eta-b")
+        most = 50
+    else:
+        argv, options, most, channel = ["scan-region"], ("--alpha-min", "--alpha-max"), 44, True
+    for option in options:  # each given a third of the time, or always for a custom alpha
+        if (not channel and option.startswith("--alpha-")) or draw(st.integers(0, 2)) == 0:
+            argv += [option, repr(draw(scan_values[option]))]
+    fewest = draw(st.sampled_from([0, 2, 2, 2]))  # 0 and 1 steps are refused
+    return [*argv, "--steps", str(draw(st.integers(fewest, most)))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scan_argv())
+@example(["scan-phi", "--mother", "chi_c0", "--alpha-a", "0.5", "--alpha-b", "-0.5",
+          "--eta-a", "-0.5", "--eta-b", "0.5", "--steps", "50"])
+def test_scans_exit_0_with_repr_cells_and_verdicts_or_2_writing_nothing(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.csv"
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, "--out", str(path)])
+        assert code in (0, 2)
+        assert out.getvalue() == ""
+        if code == 2:
+            assert "error:" in err.getvalue()
+            assert not path.exists()
+            return
+        text = path.read_text(encoding="utf-8")
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")][1:]
+    steps = int(argv[-1])
+    assert len(rows) == (steps if argv[0] == "scan-phi" else steps ** 2)
+    for row in rows:
+        assert row[-1] == str(int(float(row[2]) > 2.0))
+        assert all(repr(float(cell)) == cell for cell in row[:-1])
