@@ -2,10 +2,10 @@
 
 "%.17g" writes a direction component x with |x| in [1e-4, 1) as its sign, "0." and the 17
 digits N_17 of floattext._rounded17 less their trailing zeros.  _format_rows lays each such
-token out through floattext, which drops up to four zeros, in a _Workspace allocated once per
-stream; the other values (0, +-1, N_17 ending in 0000, the exponent form, non-finite) go to
-"%.17g" itself.  The reader reads the body _READ_BYTES at a time and parses the kernel's form
-in whole-array operations on one scratch array allocated per load, proving each value
+token out through floattext, which drops those zeros, in a _Workspace allocated once per
+stream; the other values (0, +-1, the exponent form, non-finite) go to "%.17g" itself.
+The reader reads the body _READ_BYTES at a time and parses the kernel's form in
+whole-array operations on one scratch array allocated per load, proving each value
 through the same kernel; it reads other tokens with float().
 """
 
@@ -39,10 +39,7 @@ def _format_rows(rows: np.ndarray, work: _Workspace) -> memoryview:
     ints = scratch.view(np.int64)
     a = np.fmin(np.abs(x, out=scratch[7]), 2.0, out=scratch[7])  # NaN and inf: 2
     decade, n17 = _rounded17(a, scratch[:7])[:2]
-    # "%.17g" drops every trailing zero of N_17, the layout those of its last four digits.
     slow = np.greater(decade.view(np.uint64), 3, out=work.slow[:n])  # |x| not in [1e-4, 1)
-    np.multiply(np.floor_divide(n17, 10000, out=ints[1]), 10000, out=ints[1])
-    slow |= np.equal(ints[1], n17, out=scratch[2].view(np.bool_)[:n])
     lengths = _lay_out(x, a, n17, np.subtract(20, decade, out=decade), _SEPARATORS,
                        work.slots[:n], ints[1:6])
     slow = np.flatnonzero(slow)

@@ -91,21 +91,32 @@ def settings_arrays(phi, frame=DEFAULT_FRAME, axes=DEFAULT_AXES,
     """(a, b, b') of the construction for a phi array of any shape, each of shape
     ``phi.shape + (3, 3)`` with row i the i-th direction (``a`` is a read-only
     view); frame and axes as in build_settings.  Nothing is checked here;
-    build_settings checks its inputs."""
+    build_settings checks its inputs.
+
+    b and b' are views of one (2, 3, 3) + phi.shape array, component-major, so that
+    each step is one operation on contiguous rows; each is v / sqrt(row_dot(v, v)) of
+    v = c*a + s*e or c*a - s*e, c and s the cosine and sine of phi/2, bit for bit."""
     e, a = (np.array(dirs, dtype=float) for dirs in (frame, axes))
-    half = 0.5 * np.asarray(phi, dtype=float)[..., None, None]
+    phi = np.asarray(phi, dtype=float)
+    half = 0.5 * phi
     c, s = np.cos(half), np.sin(half)
-    b, b_prime = _unit(c * a + s * e), _unit(c * a - s * e)
+    rows, (norm, temp) = np.empty((2, 3, 3) + phi.shape), np.empty((2, 3) + phi.shape)
+    tail = (...,) + (None,) * phi.ndim
+    for i, (b_i, b_prime_i) in enumerate(rows.swapaxes(0, 1)):
+        ca, se = np.multiply(a[i][tail], c, out=norm), np.multiply(e[i][tail], s, out=b_prime_i)
+        np.add(ca, se, out=b_i)
+        np.subtract(ca, se, out=b_prime_i)
+    for v in rows:
+        np.multiply(v[:, 0], v[:, 0], out=norm)
+        norm += np.multiply(v[:, 1], v[:, 1], out=temp)
+        norm += np.multiply(v[:, 2], v[:, 2], out=temp)
+        v /= np.sqrt(norm, out=norm)[:, None]
+    b, b_prime = (np.moveaxis(v, (0, 1), (-2, -1)) for v in rows)
     return np.broadcast_to(a, b.shape), b, b_prime
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(v, v))
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    v /= _norm(v)[..., None]  # in place: callers pass a temporary
-    return v
 
 
 def _pair_dots(v: np.ndarray) -> np.ndarray:

@@ -58,9 +58,12 @@ _PROVENANCE_FIELDS = ("generator", "seed", "mother", "hyperon_a", "hyperon_b",
 _HEADER_FIELDS = (*_PROVENANCE_FIELDS, "n_events", "columns")
 _COLUMNS = "nax nay naz nbx nby nbz"
 _BOOTSTRAP_REPLICAS = 200
-# Event rows formatted at a time: half a block, whose text workspace (1.4 MB) fits a 2 MiB
-# L2 cache.  Warm, 2048 rows format as fast a row as 4096 (within 2 %) and 1024 rows
-# about 11 % slower.
+# Event rows formatted at a time: half a block, for memory, not speed.  The stream's text
+# workspace is 1.4 MB against 2.8 MB for whole blocks; with the allocation-free block pass
+# this took the tracemalloc peak of write_pair_events from 4.06 to 2.23 MB and simulate's
+# peak RSS from 42.60 to 41.03 MB (BENCH_26.json).  Per row, 2048 and 4096 format within 3 %
+# of each other: 281 against 281, 303 against 303 and 287 against 278 ns (medians of 30 to
+# 40 rounds of best of 7, three runs, one process pinned to one core of a 2-vCPU Xeon VM).
 _TEXT_ROWS = _BLOCK_ROWS // 2
 
 # Count, mean and centred sum of squares of x = vec(n_A n_B^T); see event_moments.

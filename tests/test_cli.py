@@ -17,13 +17,14 @@ from hyperon_leggett import (cli, estimate_leggett_lhs, floattext, geometry, loa
                              sample_pair_decay, save_events)
 from hyperon_leggett.catalog import (catalog_sha256, default_catalog_path, load_catalog,
                                      make_pair_channel)
-from hyperon_leggett.cli import _oracle_residuals, _run_checks, main
+from hyperon_leggett.cli import main
 from hyperon_leggett.correlations import (a_side_inversion, correlation_via_operators,
                                           pair_correlation)
 from hyperon_leggett.inequalities import (leggett_max_lhs, leggett_sum_value,
                                           leggett_violation_condition)
 from hyperon_leggett.povm import MeasurementParams
 from hyperon_leggett.quantum import triplet_m0_state
+from hyperon_leggett.selfcheck import _oracle_residuals, _run_checks
 from hyperon_leggett.simulation import _BLOCK_ROWS
 
 
@@ -617,7 +618,7 @@ class TestSimulate:
         assert sorted(p.name for p in out_dir.iterdir()) == ["events.txt", "summary.json"]
 
     def test_memory_does_not_grow_with_events(self, capsys, tmp_path):
-        # First use builds the text tables and frees the 8 MB heap-threshold buffer.
+        # First use builds the text tables.
         run(["simulate", "--channel", "SigmaPlus", "--events", "200",
              "--out", str(tmp_path / "warm-up")], capsys)
         peaks = []

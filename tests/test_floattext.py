@@ -6,7 +6,9 @@ import tracemalloc
 
 import numpy as np
 
+from hyperon_leggett import floattext
 from hyperon_leggett.floattext import Texts, _shortest_floats, format_block
+from hyperon_leggett.inequalities import leggett_max_lhs
 from hyperon_leggett.quantum import _BLOCK_ROWS
 
 
@@ -63,3 +65,44 @@ def test_texts_longer_than_their_room_get_a_buffer_of_their_own():
     x = np.arange(3000, dtype=float)
     text = b"".join(bytes(text) for text in format_block([(Texts([wide]), 0), x]))
     assert text == b"".join(b"%s%r\n" % (wide, v) for v in x.tolist())
+
+
+def test_texts_under_15_digits_are_laid_out():
+    # repr drops the trailing zeros of N_15 but keeps a digit after the point; none of
+    # these values is left to repr, whatever its length, sign or separator.
+    values = [0.123456789012, 2.25, 0.5, 123.5, 0.0042117413776369, 100.0, 2.0, 0.0001,
+              0.0001220703125, 512.0, 0.1, 999.5, 12.0, 0.30000000000000004, 5e-4, 7.25]
+    x = np.array(values + [-v for v in values])
+    out, scratch = np.empty((x.size, 3), dtype=np.uint64), np.empty((8, x.size))
+    lengths, slow = _shortest_floats(x, b",\n", out, scratch)
+    assert slow.tolist() == []
+    slots = out.view("S24")[:, 0].tolist()
+    assert [slot[:n] for slot, n in zip(slots, lengths.tolist())] == [
+        b"%r%c" % (v, b",\n"[k % 2]) for k, v in enumerate(x.tolist())]
+
+
+def scan_region_block() -> tuple:
+    """A 4096-row block shaped like scan-region's: two indexed grid texts, the lhs, and
+    the flags."""
+    grid = np.linspace(0.0, 1.0, 301)
+    texts = Texts([b"%r," % v for v in grid.tolist()])
+    i, j = np.divmod(np.arange(5 * _BLOCK_ROWS, 6 * _BLOCK_ROWS), grid.size)
+    lhs = leggett_max_lhs(grid[i], grid[j])
+    return (texts, i), (texts, j), lhs, lhs > 2.0
+
+
+def test_scan_region_block_is_one_kernel_call(monkeypatch):
+    # The block's 4096 lhs values go through the kernel at once, and its 16384 cells are
+    # stored in two passes of 2048 rows.  One pass of 4096 rows would take a 1 MiB
+    # workspace (64 bytes a cell); this one takes 672 KiB.
+    block = scan_region_block()
+    expected = b"".join(bytes(text) for text in format_block(block))  # builds the tables
+    calls, kernel = [], floattext._shortest_floats
+    monkeypatch.setattr(floattext, "_shortest_floats",
+                        lambda x, *args: calls.append(x.size) or kernel(x, *args))
+    texts = []
+    peak = traced_peak(lambda: texts.extend(len(text) for text in format_block(block)))
+    assert calls == [_BLOCK_ROWS] and len(texts) == 2
+    assert peak <= 720 * 1024
+    assert b"".join(bytes(text) for text in format_block(block)) == expected
+    assert expected.count(b"\n") == _BLOCK_ROWS

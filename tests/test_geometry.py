@@ -6,9 +6,10 @@ import pytest
 from hyperon_leggett import (Direction, TripleSettings, X_AXIS, Y_AXIS, Z_AXIS,
                              build_settings, flip_b_prime, load_settings,
                              save_settings, validate_settings)
-from hyperon_leggett.geometry import (DEFAULT_AXES, DEFAULT_FRAME,
+from hyperon_leggett.geometry import (DEFAULT_AXES, DEFAULT_FRAME, settings_arrays,
                                       settings_from_text, settings_to_text,
                                       validate_flipped_settings)
+from hyperon_leggett.quantum import row_dot
 
 from conftest import random_rotation, rotated
 
@@ -93,6 +94,41 @@ class TestBuildSettings:
             axes = tuple(rotated(rot, a) for a in DEFAULT_AXES)
             s = build_settings(1.1, frame=frame, axes=axes)
             assert validate_settings(s) == []
+
+
+class TestSettingsArrays:
+    @staticmethod
+    def reference(phi, e, a):
+        """The construction written out row-major: b = unit(c a + s e), b' = unit(c a - s e)."""
+        half = 0.5 * np.asarray(phi, dtype=float)[..., None, None]
+        c, s = np.cos(half), np.sin(half)
+
+        def unit(v):
+            return v / np.sqrt(row_dot(v, v))[..., None]
+
+        b = unit(c * a + s * e)
+        return np.broadcast_to(a, b.shape), b, unit(c * a - s * e)
+
+    def test_bit_identical_to_the_row_major_construction(self, rng):
+        # The default frame is pinned by the scan digests; these frames and axes are not.
+        for _ in range(20):
+            e = random_rotation(rng)  # rows: an orthonormal frame
+            a = rng.normal(size=(3, 3))
+            a -= row_dot(a, e)[:, None] * e
+            a /= np.sqrt(row_dot(a, a))[:, None]
+            for phi in (rng.uniform(0.0, math.pi), math.pi, 1e-300, 0.0,
+                        rng.uniform(0.0, math.pi, 17), rng.uniform(0.0, math.pi, (2, 5)),
+                        np.array(2.5)):
+                got, want = settings_arrays(phi, e, a), self.reference(phi, e, a)
+                for rows, expected in zip(got, want):
+                    assert rows.shape == np.shape(phi) + (3, 3)
+                    assert (np.ascontiguousarray(rows).view(np.uint64)
+                            == np.ascontiguousarray(expected).view(np.uint64)).all()
+
+    def test_b_rows_are_views_of_one_component_major_array(self):
+        _, b, b_prime = settings_arrays(np.linspace(0.1, 3.0, 4096))
+        assert b.base is not None and b.base is b_prime.base
+        assert b.strides == (8, 3 * 4096 * 8, 4096 * 8)
 
 
 class TestInvariants:

@@ -107,3 +107,20 @@ def test_every_export_resolves():
         "quantum", "povm", "geometry", "correlations", "inequalities", "catalog", "simulation")]
     for name in hyperon_leggett.__all__:
         assert any(getattr(module, name, None) is names[name] for module in modules), name
+
+
+def test_only_check_loads_the_check_suite(tmp_path):
+    phi, region = str(tmp_path / "phi.csv"), str(tmp_path / "region.csv")
+    result = fresh(f"""
+import contextlib, io, json, sys
+from hyperon_leggett import cli
+suite = "hyperon_leggett.selfcheck"
+codes = [cli.main(["scan-phi", "--channel", "SigmaPlus", "--steps", "300", "--out", {phi!r}]),
+         cli.main(["scan-region", "--steps", "21", "--out", {region!r}]),
+         cli.main(["predict", "--channel", "SigmaPlus", "--out", {phi!r}])]
+scans = suite in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["check", "--trials", "10"]))
+print(json.dumps({{"codes": codes, "scans": scans, "check": suite in sys.modules}}))
+""")
+    assert result == {"codes": [0, 0, 0, 0], "scans": False, "check": True}
