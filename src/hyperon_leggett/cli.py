@@ -28,7 +28,7 @@ from . import __version__
 from .catalog import (CATALOG_ENV_VAR, MOTHERS, DecayMode, ProductionChannel,
                       catalog_sha256, default_catalog_path, load_catalog,
                       make_pair_channel)
-from .correlations import pair_correlation
+from .correlations import _closed_form_pairs
 from .floattext import Texts, format_block
 from .geometry import build_settings, load_settings, settings_arrays
 from .inequalities import (leggett_max_lhs, leggett_sum_lhs, leggett_sum_value, optimal_phi,
@@ -78,15 +78,6 @@ def _resolve_channel(args: argparse.Namespace) -> ResolvedChannel:
     pb = MeasurementParams(args.eta_b, channel.mode_b.alpha)
     return ResolvedChannel(channel=channel, pa=pa, pb=pb,
                            catalog_path=catalog_str, catalog_sha=sha)
-
-
-def _closed_form_pairs(spin_state: str, pa: MeasurementParams, pb: MeasurementParams,
-                       a: np.ndarray, b: np.ndarray, b_prime: np.ndarray,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (E(a_i, b_i), E(a_i, b_i')) at (..., 3, 3) settings arrays, each of
-    shape (..., 3); ``a`` is taken as inverted, as in catalog.channel_correlation."""
-    return (pair_correlation(spin_state, pa, a, pb, b),
-            pair_correlation(spin_state, pa, a, pb, b_prime))
 
 
 def _resolve_settings(args: argparse.Namespace, alpha_a: float):
@@ -237,9 +228,6 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise ValueError(f"--sigma-threshold must be finite and positive, "
                          f"got {args.sigma_threshold!r}")
     resolved = _resolve_channel(args)
-    if resolved.pa.eta != 0.0 or resolved.pb.eta != 0.0:
-        raise ValueError("event simulation models unbiased decay measurements; "
-                         "eta overrides are not supported here")
     settings = _resolve_settings(args, resolved.pa.alpha)
     channel = resolved.channel
 
@@ -271,7 +259,7 @@ def cmd_simulate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
     significance = (estimate.lhs_hat - 2.0) / estimate.std_error
     violation = significance >= args.sigma_threshold
-    # eta overrides are refused above, so the summary carries no eta keys.
+    # simulate has no bias options, so the summary carries no eta keys.
     unbiased = {k: v for k, v in resolved.provenance().items() if not k.startswith("eta_")}
     payload = _metadata(argv, {
         **unbiased,
@@ -333,13 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the A-side decay asymmetry")
         p.add_argument("--alpha-b", type=float, default=None,
                        help="override the B-side decay asymmetry")
+        p.add_argument("--catalog", default=None,
+                       help=f"decay catalog file (default: ${CATALOG_ENV_VAR} "
+                            "or the packaged table)")
+
+    def add_bias_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--eta-a", type=float, default=0.0,
                        help="A-side measurement bias (default 0)")
         p.add_argument("--eta-b", type=float, default=0.0,
                        help="B-side measurement bias (default 0)")
-        p.add_argument("--catalog", default=None,
-                       help=f"decay catalog file (default: ${CATALOG_ENV_VAR} "
-                            "or the packaged table)")
 
     def add_settings_args(p: argparse.ArgumentParser) -> None:
         group = p.add_mutually_exclusive_group()
@@ -350,12 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_predict = sub.add_parser("predict", help="closed-form bound evaluation at one angle")
     add_channel_args(p_predict)
+    add_bias_args(p_predict)
     add_settings_args(p_predict)
     p_predict.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_predict.set_defaults(func=cmd_predict)
 
     p_scan = sub.add_parser("scan-phi", help="left-hand side over an opening-angle grid (CSV)")
     add_channel_args(p_scan)
+    add_bias_args(p_scan)
     p_scan.add_argument("--phi-min-deg", type=float, default=0.1)
     p_scan.add_argument("--phi-max-deg", type=float, default=180.0)
     p_scan.add_argument("--steps", type=int, default=1001)
@@ -370,7 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_region.set_defaults(func=cmd_scan_region)
 
-    p_sim = sub.add_parser("simulate", help="generate decay events and estimate the bound")
+    p_sim = sub.add_parser(
+        "simulate", help="generate decay events and estimate the bound",
+        description="Generate decay events and estimate the bound.  A weak decay is an "
+                    "unbiased measurement (eta = 0), so simulate takes no --eta-a/--eta-b.")
     add_channel_args(p_sim)
     p_sim.add_argument("--events", type=int, required=True, help="number of pair events")
     p_sim.add_argument("--seed", type=int, default=1, help="64-bit generator seed")
@@ -380,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "a violation; finite and positive (default 3)")
     p_sim.add_argument("--out", default=".",
                        help="output directory for events.txt and summary.json")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, eta_a=0.0, eta_b=0.0)
 
     p_check = sub.add_parser("check", help="run the oracle cross-check suite")
     p_check.add_argument("--seed", type=int, default=20250809)
@@ -399,8 +394,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, ArithmeticError, MemoryError) as exc:
+        # Exit 1 means "no violation" or "failed identities", never a fault.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -103,6 +103,16 @@ def pair_correlation(spin_state: str, pa: MeasurementParams, a, pb: MeasurementP
     return _float_or_array(pa.eta * pb.eta + c_xx * pa.alpha * pb.alpha * row_dot(a, b))
 
 
+def _closed_form_pairs(spin_state: str, pa: MeasurementParams, pb: MeasurementParams,
+                       a: np.ndarray, b: np.ndarray, b_prime: np.ndarray,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (E(a_i, b_i), E(a_i, b_i')) at (..., 3, 3) settings arrays, each of
+    shape (..., 3); ``a`` is taken as inverted, as in catalog.channel_correlation.  The
+    commands and check's settings-path identity call this one function."""
+    return (pair_correlation(spin_state, pa, a, pb, b),
+            pair_correlation(spin_state, pa, a, pb, b_prime))
+
+
 def correlation_singlet(pa: MeasurementParams, a, pb: MeasurementParams, b):
     """Closed-form singlet correlation eta_a*eta_b - alpha_a*alpha_b*(a.b)."""
     return pair_correlation("singlet", pa, a, pb, b)

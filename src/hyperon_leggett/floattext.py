@@ -193,14 +193,16 @@ def _store_slots(slots: np.ndarray, lengths: np.ndarray, slow: np.ndarray, token
 
 
 class Texts:
-    """Cell texts, each ending with its separator: their first 24 bytes as slots, their
-    lengths, and the texts themselves if one is longer than a slot."""
+    """Cell texts, each ending with its separator, as 24-byte slots and their lengths; a
+    text longer than its slot is refused."""
 
     def __init__(self, cells: Sequence[bytes]) -> None:
-        self.slots = np.frombuffer(b"".join(cell[:24].ljust(24, b"\0") for cell in cells),
-                                   dtype="V24")
         self.lengths = np.array([len(cell) for cell in cells])
-        self.overlong = cells if self.lengths.max() > 24 else ()
+        if self.lengths.max() > 24:
+            raise ValueError(f"cell text longer than its 24-byte slot: "
+                             f"{cells[int(self.lengths.argmax())]!r}")
+        self.slots = np.frombuffer(b"".join(cell.ljust(24, b"\0") for cell in cells),
+                                   dtype="V24")
 
 
 @functools.cache
@@ -290,9 +292,9 @@ def format_block(columns: Sequence[np.ndarray | tuple[Texts, int | np.ndarray]],
     array.  A kernel batch takes the rows that hold about _VALUES floats: their floats,
     gathered row by row, go through one _shortest_floats call, each column's separator in
     its repeating pattern.  A pass takes the batch's rows that hold at most _CELLS cells,
-    and _store_slots stores every cell's slot, with the texts left to repr and any longer
-    than a slot as tokens.  Each pass is made in one workspace allocated per block, so each
-    text it yields is released when the next is drawn, and the last when the block ends."""
+    and _store_slots stores every cell's slot, with the texts left to repr as tokens.  Each
+    pass is made in one workspace allocated per block, so each text it yields is released
+    when the next is drawn, and the last when the block ends."""
     rows, width = next(len(c) for c in columns if isinstance(c, np.ndarray)), len(columns)
     ends = b"," * (width - 1) + b"\n"
     floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype != bool]
@@ -324,14 +326,14 @@ def format_block(columns: Sequence[np.ndarray | tuple[Texts, int | np.ndarray]],
             slots = work[at:at + 3 * c].view("V24")
             lengths = work[at + 3 * c:at + 4 * c].view(np.int64)
             cells, cell_lengths = slots.reshape(m, width), lengths.reshape(m, width)
-            slow, tokens = [np.empty(0, dtype=np.intp)], []
+            slow, tokens = np.empty(0, dtype=np.intp), []
             if k:
                 cells[:, floats], cell_lengths[:, floats] = float_slots[own], float_lengths[own]
                 index = left[np.searchsorted(left, own.start * k):
                              np.searchsorted(left, own.stop * k)]
-                slow.append((index // k - own.start) * width + floats[index % k])
-                tokens += [b"%r%c" % (value, pattern[i])
-                           for i, value in zip((index % k).tolist(), x[index].tolist())]
+                slow = (index // k - own.start) * width + floats[index % k]
+                tokens = [b"%r%c" % (value, pattern[i])
+                          for i, value in zip((index % k).tolist(), x[index].tolist())]
             for j, (table, index) in texts:
                 if isinstance(index, np.ndarray):  # gathered in the text's room, free until stored
                     index = index[part]
@@ -341,12 +343,7 @@ def format_block(columns: Sequence[np.ndarray | tuple[Texts, int | np.ndarray]],
                                                  out=work[to + 3 * m:to + 4 * m].view(np.int64))
                 else:
                     cells[:, j], cell_lengths[:, j] = table.slots[index], table.lengths[index]
-                if table.overlong:  # written after the slots, as the texts left to repr are
-                    index = np.broadcast_to(index, m)
-                    overlong = np.flatnonzero(table.lengths[index] > 24)
-                    slow.append(overlong * width + j)
-                    tokens += [table.overlong[i] for i in index[overlong].tolist()]
-            text = _store_slots(slots, lengths, np.concatenate(slow), tokens,
+            text = _store_slots(slots, lengths, slow, tokens,
                                 work[to:to + 3 * c + 3].view(np.uint8).data,
                                 work[to + 3 * c + 3:to + 4 * c + 3].view(np.int64))
             yield text

@@ -154,16 +154,15 @@ def leggett_diff_value(pair_diffs, alpha_b: float, phi):
 
 
 def leggett_diff_lhs(settings: TripleSettings, e_pairs: EPairs,
-                     alpha_b: float, eta_b: float = 0.0) -> InequalityReport:
-    """Difference-form nonlocal-realism bound, valid for unbiased B-side only.
+                     alpha_b: float) -> InequalityReport:
+    """Difference-form nonlocal-realism bound, valid for unbiased B-side only
+    (eta_b = 0): pass correlations measured without a B-side bias.
 
     Takes the flipped layout produced by flip_b_prime (sum vectors b_i + b_i'
     mutually orthogonal, |b_i + b_i'| = 2 cos(phi/2)).  The bound
     (1/3) sum_i |E_i - E_i'| <= 2 - (2|alpha_b|/3)|cos(phi/2)| is restated
     with the cosine term moved onto the left-hand side against bound 2.
     """
-    if eta_b != 0.0:
-        raise ValueError("the difference-form bound holds for unbiased B-side only")
     violations = validate_flipped_settings(settings)
     if violations:
         raise ValueError("invalid flipped settings: " + "; ".join(violations))

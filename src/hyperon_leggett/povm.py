@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import (IDENTITY_2, _all, _float_or_array, is_density_matrix, pauli_dot,
-                      row_dot)
+from .quantum import IDENTITY_2, _float_or_array, is_density_matrix, pauli_dot, row_dot
 
 _PARAM_TOL = 1e-12
 
@@ -46,7 +45,7 @@ class MeasurementParams:
     def __post_init__(self) -> None:
         # |eta| + |alpha| rounds exactly as the larger of |eta + alpha| and
         # |eta - alpha|; NaN compares False, so it is refused too.
-        if not _all(abs(self.eta) + abs(self.alpha) <= 1.0 + _PARAM_TOL):
+        if not np.all(abs(self.eta) + abs(self.alpha) <= 1.0 + _PARAM_TOL):
             raise ValueError(
                 f"invalid measurement parameters eta={self.eta}, alpha={self.alpha}: "
                 "need |eta + alpha| <= 1 and |eta - alpha| <= 1")

@@ -73,12 +73,6 @@ def _float_or_array(value):
     return value if getattr(value, "ndim", 0) else float(value)
 
 
-def _all(mask) -> bool:
-    """Whether a mask holds only True; a Python bool, from scalar inputs, skips the
-    NumPy call, which costs microseconds."""
-    return mask if type(mask) is bool else bool(mask.all())
-
-
 X_AXIS = Direction(1.0, 0.0, 0.0)
 Y_AXIS = Direction(0.0, 1.0, 0.0)
 Z_AXIS = Direction(0.0, 0.0, 1.0)

@@ -12,10 +12,9 @@ import math
 import numpy as np
 
 from .catalog import MOTHERS, DecayMode, ProductionChannel
-from .cli import _closed_form_pairs
-from .correlations import (PAIR_STATES, a_side_inversion, correlation_via_operators,
-                           joint_prob_matrix, joint_prob_singlet, pair_correlation,
-                           pair_density_matrix, spin_correlation_diagonal)
+from .correlations import (PAIR_STATES, _closed_form_pairs, a_side_inversion,
+                           correlation_via_operators, joint_prob_matrix, joint_prob_singlet,
+                           pair_correlation, pair_density_matrix, spin_correlation_diagonal)
 from .geometry import build_settings, settings_arrays
 from .inequalities import leggett_sum_curve, leggett_sum_value, symmetric_alpha_threshold
 from .povm import MeasurementParams

@@ -186,6 +186,9 @@ FLOAT_OPTIONS = [(command, action.option_strings[0])
                  for command, sub in subparsers(cli.build_parser()).items()
                  for action in sub._actions if action.type is float]
 REQUIRED = {"simulate": ["--events", "100"]}
+# Negative values in exponent form, and -inf, -infinity and -nan in several letter cases.
+NEGATIVE_TEXTS = ["-1e-05", "-2.5E+300", "-.5e3", "-7e0", "-inf",
+                  "-INF", "-infinity", "-Infinity", "-nan", "-NaN"]
 
 
 class TestNegativeExponentValues:
@@ -198,12 +201,11 @@ class TestNegativeExponentValues:
         assert ("predict", "--alpha-a") in FLOAT_OPTIONS
         assert ("simulate", "--sigma-threshold") in FLOAT_OPTIONS
         assert ("scan-region", "--alpha-min") in FLOAT_OPTIONS
-        assert len(FLOAT_OPTIONS) == 19
+        assert len(FLOAT_OPTIONS) == 17
 
     @pytest.mark.parametrize("command, option", FLOAT_OPTIONS,
                              ids=[" ".join(pair) for pair in FLOAT_OPTIONS])
-    @pytest.mark.parametrize("text", ["-1e-05", "-2.5E+300", "-.5e3", "-7e0", "-inf",
-                                      "-INF", "-infinity", "-Infinity", "-nan", "-NaN"])
+    @pytest.mark.parametrize("text", NEGATIVE_TEXTS)
     def test_float_option_reads_a_separate_negative_exponent(self, command, option, text):
         args = cli.build_parser().parse_args([command, *REQUIRED.get(command, []),
                                               option, text])
@@ -431,6 +433,30 @@ class TestScanRegion:
         assert code == 0
         assert data_rows(out) == region_rows(np.linspace(0.0, 1.0, steps))
 
+    def test_longest_grid_text_fits_its_slot(self, capsys):
+        # The repr of a non-negative double is at most 23 characters, so a grid text and
+        # its comma fill a 24-byte slot at most.
+        grid = np.linspace(2.2250738585072014e-308, 1.0, 3)
+        code, out, _ = run(["scan-region", "--alpha-min", "2.2250738585072014e-308",
+                            "--alpha-max", "1.0", "--steps", "3"], capsys)
+        assert code == 0
+        assert data_rows(out) == region_rows(grid)
+        assert len(b"%r," % grid.tolist()[0]) == 24
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 7.28 EiB for an array"),
+         "error: Unable to allocate 7.28 EiB for an array\n"),
+        (MemoryError(), "error: MemoryError\n")], ids=["numpy", "bare"])
+    def test_grid_out_of_memory_exits_2(self, capsys, monkeypatch, tmp_path, exc, message):
+        # np.linspace raises MemoryError for a grid it cannot allocate; exit 1 would
+        # read as a completed run.
+        def allocate(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(np, "linspace", allocate)
+        path = tmp_path / "region.csv"
+        assert run(["scan-region", "--steps", "3", "--out", str(path)], capsys) == (2, "", message)
+        assert not path.exists()
+
     def test_grid_text_at_signed_zero_and_endpoints(self, capsys):
         # Each grid value is formatted once and shared by its rows: the text must still
         # be repr's at -0.0 and at the exact endpoints.
@@ -542,6 +568,22 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert f"error: --seed must be in [0, 2**64), got {seed}" in err
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("option", ["--eta-a", "--eta-b"])
+    @pytest.mark.parametrize("value", ["0.1", "0", *NEGATIVE_TEXTS])
+    def test_bias_options_refused(self, capsys, tmp_path, option, value):
+        # A weak decay is an unbiased measurement: simulate has no bias options. A
+        # negative value after one is reported with it, not taken for an option.
+        parser = subparsers(cli.build_parser())["simulate"]
+        assert "--eta" not in parser.format_usage()
+        assert "unbiased measurement" in parser.description
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--channel", "SigmaPlus", "--events", "1000", option, value,
+                  "--out", str(out_dir)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}\n" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_undersized_run_refused(self, capsys, tmp_path):
         code, _, err = run(["simulate", "--channel", "SigmaPlus", "--events", "10",

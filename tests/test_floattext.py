@@ -5,6 +5,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from hyperon_leggett import floattext
 from hyperon_leggett.floattext import Texts, _shortest_floats, format_block
@@ -59,12 +60,15 @@ def test_scan_phi_block_peaks_below_the_per_column_writer():
     assert peak <= 436 * 1024
 
 
-def test_texts_longer_than_their_room_get_a_buffer_of_their_own():
-    # The workspace holds 24 bytes a cell of text; a column of longer texts outgrows it.
-    wide = b"%s," % (b"9" * 60)
-    x = np.arange(3000, dtype=float)
-    text = b"".join(bytes(text) for text in format_block([(Texts([wide]), 0), x]))
-    assert text == b"".join(b"%s%r\n" % (wide, v) for v in x.tolist())
+def test_texts_longer_than_their_slot_are_refused():
+    # A text fills at most its 24-byte slot; the scans' longest, a 23-character repr and
+    # its comma, fits.
+    with pytest.raises(ValueError, match="longer than its 24-byte slot: b'x{25}'"):
+        Texts([b"x" * 25])
+    with pytest.raises(ValueError, match="-2.2250738585072014e-308,"):
+        Texts([b"0.5,", b"-2.2250738585072014e-308,"])
+    fitting = Texts([b"2.2250738585072014e-308,", b"0.5,"])
+    assert fitting.lengths.tolist() == [24, 4]
 
 
 def test_texts_under_15_digits_are_laid_out():

@@ -124,3 +124,12 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({{"codes": codes, "scans": scans, "check": suite in sys.modules}}))
 """)
     assert result == {"codes": [0, 0, 0, 0], "scans": False, "check": True}
+
+
+def test_check_suite_loads_no_cli_code():
+    result = fresh("""
+import json, sys
+import hyperon_leggett.selfcheck
+print(json.dumps({"cli": "hyperon_leggett.cli" in sys.modules}))
+""")
+    assert result == {"cli": False}

@@ -221,10 +221,12 @@ class TestLeggettDiff:
         assert report.lhs == pytest.approx(0.0, abs=1e-15)
         assert not report.violated
 
-    def test_biased_b_side_rejected(self):
+    def test_takes_no_b_side_bias(self):
+        # The bound holds for an unbiased B side only, so there is no bias to pass.
         flipped = flip_b_prime(build_settings(1.0))
-        with pytest.raises(ValueError, match="unbiased"):
-            leggett_diff_lhs(flipped, [(0.0, 0.0)] * 3, 0.5, eta_b=0.1)
+        with pytest.raises(TypeError, match="eta_b"):
+            leggett_diff_lhs(flipped, [(0.0, 0.0)] * 3, 0.5, eta_b=0.0)
+        assert "unbiased B-side" in leggett_diff_lhs.__doc__
 
     def test_non_correlation_refused(self):
         flipped = flip_b_prime(build_settings(1.0))
